@@ -109,18 +109,17 @@ def test_windowed_state_stays_flat():
     initial, events = pad_stream(1000)
     full = feed(ConsistencyMonitor("SI", dict(initial)), events)
     windowed = feed(WindowedMonitor(32, "SI", dict(initial)), events)
+    full_sizes = full.state_size()
     sizes = windowed.state_size()
     print_table(
         "Monitor state after 1000 commits",
         ["monitor", "graph nodes", "edges"],
         [
-            ("full", len(full._records), sum(
-                len(s) for s in (full._so, full._wr, full._ww, full._rw)
-            )),
+            ("full", full_sizes["records"], full_sizes["edges"]),
             ("windowed (w=32)", sizes["records"], sizes["edges"]),
         ],
     )
-    assert len(full._records) == 1000
+    assert full_sizes["records"] == 1000
     assert sizes["records"] == 32
 
 

@@ -15,7 +15,14 @@ insertion that would close a cycle is detected during that same bounded
 discovery, yielding the violation witness for free.  In the common
 no-violation case certification is near-amortised-constant per commit.
 
-Three checkers share the core, one per model condition:
+Every checker owns one :class:`EdgeStore`, the labelled adjacency of the
+observed dependency graph: each node maps to its in- and out-neighbours,
+and each edge carries its kinds.  :meth:`Checker.observe` records every
+edge there before certifying it.  The store is what the monitor's
+``dependency_edges()`` and ``state_size()`` read, and where the SI and
+PSI checkers look up the edges they compose with.
+
+Three incremental checkers share the core, one per model condition:
 
 * **SER** (Theorem 8): ``SO ∪ WR ∪ WW ∪ RW`` acyclic — every dependency
   and anti-dependency edge goes straight into one dynamic DAG.
@@ -24,37 +31,142 @@ Three checkers share the core, one per model condition:
   contributes the composed edges ``(u, v)`` (via the reflexive part of
   ``RW?``) plus ``(u, w)`` for every RW-successor ``w`` of ``v``; each
   new RW edge ``(v, w)`` contributes ``(u, w)`` for every dep-predecessor
-  ``u`` of ``v``.  Per-node dep-predecessor / RW-successor indexes make
-  these deltas enumerable in output-sensitive time, and composed edges
-  carry multiplicities (a pair may have several middle-node witnesses)
-  so windowed eviction can decrement exactly.
+  ``u`` of ``v``.  The store's per-node adjacency makes these deltas
+  enumerable in output-sensitive time, and composed edges carry
+  multiplicities (a pair may have several middle-node witnesses) so
+  windowed eviction can decrement exactly.
 * **PSI** (Theorem 21): ``(SO ∪ WR ∪ WW)+ ; RW?`` irreflexive — i.e. the
   dep relation is acyclic *and* no RW edge ``(c, a)`` has a dep path
   ``a ⇒ c``.  The dep DAG's topological order prunes the reachability
-  queries: a new RW edge asks one order-bounded DFS, a new dep edge
-  ``(u, v)`` intersects dep-ancestors of ``u`` with dep-descendants of
-  ``v`` against the RW-edge index (skipped outright while no RW edge
-  exists).  No transitive closure is ever materialised.
+  queries: a new RW edge asks one order-bounded DFS; a new dep edge
+  ``(u, v)`` collects the RW edges leaving dep-descendants of ``v`` and,
+  only if there are any, searches the dep-ancestors of ``u`` for their
+  targets.  No transitive closure is ever materialised.
 
-All three checkers support :meth:`remove_node`, used by
-:class:`~repro.monitor.windowed.WindowedMonitor`'s garbage collection:
-deleting nodes/edges from a DAG never invalidates its topological
-order, so eviction is pure bookkeeping — no re-check, no reorder.
+:class:`RebuildChecker` is the differential-testing oracle: it records
+edges in the same store and re-derives the model's whole condition from
+it on every commit.
 
-On a violation the cycle-closing edge is *not* inserted (the core must
-stay acyclic to keep certifying); the monitor reports the witness cycle
-and subsequent commits are checked against the remaining — still
-acyclic — graph.  The full-rebuild checker, by contrast, keeps the
-cyclic graph and re-flags it at every later commit; differential tests
-therefore compare the two up to the first violation
-(``tests/monitor/test_parity.py``).
+Every checker supports :meth:`~Checker.remove_node`, used by
+:class:`~repro.monitor.windowed.WindowedMonitor`'s garbage collection.
+It touches only the removed node's own adjacency — its store and DAG
+edges, plus (for SI) the composed edges it witnesses as a middle node —
+so one eviction costs O(degree).  Deleting nodes/edges from a DAG never
+invalidates its topological order, so no re-check or reorder happens.
+
+On a violation the cycle-closing edge is *not* inserted into the DAG
+(the core must stay acyclic to keep certifying); the store keeps it,
+marked dropped, so it is still listed but feeds no later composition.
+The monitor reports the witness cycle and subsequent commits are checked
+against the remaining — still acyclic — graph.  The full-rebuild
+checker, by contrast, keeps the cyclic graph and re-flags it at every
+later commit; differential tests therefore compare the two up to the
+first violation (``tests/monitor/test_parity.py``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..core.relations import Relation
+
 Edge = Tuple[str, str]
+LabelledEdge = Tuple[str, str, int]
+
+#: Edge kinds, as bits of an :class:`EdgeStore` label.
+SO, WR, WW, RW = 1, 2, 4, 8
+DEP = SO | WR | WW
+KINDS = {"SO": SO, "WR": WR, "WW": WW, "RW": RW}
+
+
+class EdgeStore:
+    """The one labelled adjacency store of the observed dependency graph.
+
+    ``succ[a][b]`` and ``pred[b][a]`` hold the same label for the edge
+    ``a -> b``.  Its low four bits are the kinds the edge was observed
+    as; the next four mark kinds the checker dropped because the edge
+    closed a cycle.  A dropped edge is still listed by :meth:`by_kind`,
+    but :meth:`preds` and :meth:`succs` no longer return it.
+    """
+
+    def __init__(self) -> None:
+        self.succ: Dict[str, Dict[str, int]] = {}
+        self.pred: Dict[str, Dict[str, int]] = {}
+
+    def __len__(self) -> int:
+        """The number of (pair, kind) entries."""
+        return sum(
+            (label & 15).bit_count()
+            for targets in self.succ.values()
+            for label in targets.values()
+        )
+
+    def add_node(self, node: str) -> None:
+        self.succ.setdefault(node, {})
+        self.pred.setdefault(node, {})
+
+    def remove_node(self, node: str) -> None:
+        """Delete ``node`` and its incident edges, in O(its degree)."""
+        for b in self.succ.pop(node, ()):
+            del self.pred[b][node]
+        for a in self.pred.pop(node, ()):
+            del self.succ[a][node]
+
+    def add(self, a: str, b: str, kind: int) -> int:
+        """Label ``a -> b`` with ``kind``; return its previous label."""
+        label = self.succ[a].get(b, 0)
+        self.succ[a][b] = self.pred[b][a] = label | kind
+        return label
+
+    def drop(self, a: str, b: str, kinds: int) -> None:
+        """Mark the ``kinds`` of ``a -> b`` as dropped by certification."""
+        self.succ[a][b] = self.pred[b][a] = self.succ[a][b] | kinds << 4
+
+    def preds(self, node: str, kinds: int) -> List[str]:
+        """Sources of the live edges of ``kinds`` into ``node``."""
+        return [
+            a for a, m in self.pred[node].items() if m & ~(m >> 4) & kinds
+        ]
+
+    def succs(self, node: str, kinds: int) -> List[str]:
+        """Targets of the live edges of ``kinds`` out of ``node``."""
+        return [
+            b for b, m in self.succ[node].items() if m & ~(m >> 4) & kinds
+        ]
+
+    def by_kind(self) -> Dict[str, Set[Edge]]:
+        """Every edge, dropped ones included, grouped by kind name."""
+        edges: Dict[str, Set[Edge]] = {name: set() for name in KINDS}
+        for a, targets in self.succ.items():
+            for b, label in targets.items():
+                for name, kind in KINDS.items():
+                    if label & kind:
+                        edges[name].add((a, b))
+        return edges
+
+
+def _unwind(parent: Dict[str, Optional[str]], node: str) -> List[str]:
+    """The parent chain ``[node, parent[node], ..., root]``."""
+    chain = [node]
+    while parent[node] is not None:
+        node = parent[node]
+        chain.append(node)
+    return chain
+
+
+def _search(
+    start: str, adjacency: Dict[str, Iterable[str]]
+) -> Dict[str, Optional[str]]:
+    """DFS from ``start``: every reached node → its DFS parent."""
+    parent: Dict[str, Optional[str]] = {start: None}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        for nxt in adjacency.get(node, ()):
+            if nxt not in parent:
+                parent[nxt] = node
+                stack.append(nxt)
+    return parent
 
 
 class DynamicTopoOrder:
@@ -184,13 +296,7 @@ class DynamicTopoOrder:
                 if position == upper:
                     # Reached the edge's source: closing this edge would
                     # create a cycle.  Reconstruct start -> ... -> nxt.
-                    tail = [nxt, node]
-                    cursor = parent[node]
-                    while cursor is not None:
-                        tail.append(cursor)
-                        cursor = parent[cursor]
-                    tail.reverse()
-                    return visited, tail
+                    return visited, _unwind(parent, node)[::-1] + [nxt]
                 if position < upper and nxt not in parent:
                     parent[nxt] = node
                     stack.append(nxt)
@@ -245,70 +351,84 @@ class DynamicTopoOrder:
             node = stack.pop()
             for nxt in self._succ[node]:
                 if nxt == b:
-                    path = [b, node]
-                    cursor = parent[node]
-                    while cursor is not None:
-                        path.append(cursor)
-                        cursor = parent[cursor]
-                    path.reverse()
-                    return path
+                    return _unwind(parent, node)[::-1] + [b]
                 if self._ord[nxt] < bound and nxt not in parent:
                     parent[nxt] = node
                     stack.append(nxt)
         return None
 
 
-class IncrementalChecker:
-    """Base class: one model's graph condition, maintained edge-by-edge.
+class Checker:
+    """Base class: one model's graph condition over an :class:`EdgeStore`.
 
-    The monitor feeds each commit's *new* dependency (``SO ∪ WR ∪ WW``)
-    and anti-dependency (``RW``) edges through :meth:`observe`; the
-    checker returns the first witness cycle the deltas close, or
-    ``None``.  A cycle-closing edge is dropped (with all of its already
-    applied composed deltas rolled back) so the maintained structure
-    stays acyclic and certification continues.
+    The monitor feeds each commit's new dependency (``SO ∪ WR ∪ WW``,
+    labelled with their kind) and anti-dependency (``RW``) edges through
+    :meth:`observe`; the checker records them in :attr:`edges` and
+    returns the first witness cycle they close, or ``None``.
     """
 
-    #: Human-readable name of the maintained target relation.
-    target = "dependency graph"
-
     def __init__(self) -> None:
-        self._dep_edges: Set[Edge] = set()
-        self._rw_edges: Set[Edge] = set()
+        self.edges = EdgeStore()
 
     def add_node(self, tid: str) -> None:
-        raise NotImplementedError
+        self.edges.add_node(tid)
 
     def remove_node(self, tid: str) -> None:
-        raise NotImplementedError
+        self.edges.remove_node(tid)
 
     def observe(
-        self, dep_edges: Iterable[Edge], rw_edges: Iterable[Edge]
+        self, dep_edges: Iterable[LabelledEdge], rw_edges: Iterable[Edge]
     ) -> Optional[List[str]]:
-        """Apply one commit's edge deltas; return the first cycle."""
-        witness: Optional[List[str]] = None
-        for edge in dep_edges:
-            if edge in self._dep_edges:
-                continue
-            cycle = self._insert_dep(edge)
-            if cycle is None:
-                self._dep_edges.add(edge)
-            elif witness is None:
-                witness = cycle
-        for edge in rw_edges:
-            if edge in self._rw_edges:
-                continue
-            cycle = self._insert_rw(edge)
-            if cycle is None:
-                self._rw_edges.add(edge)
-            elif witness is None:
-                witness = cycle
-        return witness
-
-    def _insert_dep(self, edge: Edge) -> Optional[List[str]]:
+        """Record one commit's edges; return the first cycle."""
         raise NotImplementedError
 
-    def _insert_rw(self, edge: Edge) -> Optional[List[str]]:
+
+class IncrementalChecker(Checker):
+    """One model's condition, maintained edge-by-edge in a dynamic DAG.
+
+    Each edge is certified when the store first sees its class (dep or
+    RW).  A cycle-closing edge stays in the store but is marked dropped
+    (with all of its already applied composed deltas rolled back) so the
+    DAG stays acyclic and certification continues.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._dag = DynamicTopoOrder()
+
+    def add_node(self, tid: str) -> None:
+        super().add_node(tid)
+        self._dag.add_node(tid)
+
+    def remove_node(self, tid: str) -> None:
+        self._dag.remove_node(tid)
+        super().remove_node(tid)
+
+    def observe(
+        self, dep_edges: Iterable[LabelledEdge], rw_edges: Iterable[Edge]
+    ) -> Optional[List[str]]:
+        witness: Optional[List[str]] = None
+        edges = self.edges
+        for a, b, kind in dep_edges:
+            if edges.add(a, b, kind) & DEP:
+                continue
+            cycle = self._insert_dep(a, b)
+            if cycle is not None:
+                edges.drop(a, b, DEP)
+                witness = witness or cycle
+        for a, b in rw_edges:
+            if edges.add(a, b, RW) & RW:
+                continue
+            cycle = self._insert_rw(a, b)
+            if cycle is not None:
+                edges.drop(a, b, RW)
+                witness = witness or cycle
+        return witness
+
+    def _insert_dep(self, a: str, b: str) -> Optional[List[str]]:
+        raise NotImplementedError
+
+    def _insert_rw(self, a: str, b: str) -> Optional[List[str]]:
         raise NotImplementedError
 
 
@@ -316,24 +436,8 @@ class SerIncrementalChecker(IncrementalChecker):
     """SER (Theorem 8): ``SO ∪ WR ∪ WW ∪ RW`` acyclic — one dynamic DAG
     holds every edge directly."""
 
-    target = "SO ∪ WR ∪ WW ∪ RW"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._dag = DynamicTopoOrder()
-
-    def add_node(self, tid: str) -> None:
-        self._dag.add_node(tid)
-
-    def remove_node(self, tid: str) -> None:
-        self._dag.remove_node(tid)
-        self._dep_edges = {
-            e for e in self._dep_edges if tid not in e
-        }
-        self._rw_edges = {e for e in self._rw_edges if tid not in e}
-
-    def _insert_dep(self, edge: Edge) -> Optional[List[str]]:
-        return self._dag.add_edge(*edge)
+    def _insert_dep(self, a: str, b: str) -> Optional[List[str]]:
+        return self._dag.add_edge(a, b)
 
     _insert_rw = _insert_dep
 
@@ -341,30 +445,11 @@ class SerIncrementalChecker(IncrementalChecker):
 class SiIncrementalChecker(IncrementalChecker):
     """SI (Theorem 9): ``(SO ∪ WR ∪ WW) ; RW?`` acyclic.
 
-    The composed relation is maintained in the dynamic DAG; per-node
-    dep-predecessor and RW-successor indexes translate each new dep/RW
+    The composed relation is maintained in the dynamic DAG; the store's
+    live dep-predecessors and RW-successors translate each new dep/RW
     edge into its composed-edge deltas.  Composed multiplicities count
     middle-node witnesses so node eviction can decrement exactly.
     """
-
-    target = "(SO ∪ WR ∪ WW) ; RW?"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._dag = DynamicTopoOrder()
-        self._dep_pred: Dict[str, Set[str]] = {}
-        self._dep_succ: Dict[str, Set[str]] = {}
-        self._rw_pred: Dict[str, Set[str]] = {}
-        self._rw_succ: Dict[str, Set[str]] = {}
-
-    def add_node(self, tid: str) -> None:
-        if tid in self._dag:
-            return
-        self._dag.add_node(tid)
-        self._dep_pred[tid] = set()
-        self._dep_succ[tid] = set()
-        self._rw_pred[tid] = set()
-        self._rw_succ[tid] = set()
 
     def remove_node(self, tid: str) -> None:
         if tid not in self._dag:
@@ -372,21 +457,12 @@ class SiIncrementalChecker(IncrementalChecker):
         # Composed edges with `tid` as the *middle* node (u -dep-> tid
         # -RW-> w) are not incident to it in the DAG: decrement each
         # witness explicitly, then drop everything incident wholesale.
-        for u in self._dep_pred[tid]:
-            for w in self._rw_succ[tid]:
+        rw_succs = self.edges.succs(tid, RW)
+        for u in self.edges.preds(tid, DEP):
+            for w in rw_succs:
                 if u != tid and w != tid:
                     self._dag.remove_edge(u, w)
-        self._dag.remove_node(tid)
-        for u in self._dep_pred.pop(tid):
-            self._dep_succ[u].discard(tid)
-        for w in self._dep_succ.pop(tid):
-            self._dep_pred[w].discard(tid)
-        for u in self._rw_pred.pop(tid):
-            self._rw_succ[u].discard(tid)
-        for w in self._rw_succ.pop(tid):
-            self._rw_pred[w].discard(tid)
-        self._dep_edges = {e for e in self._dep_edges if tid not in e}
-        self._rw_edges = {e for e in self._rw_edges if tid not in e}
+        super().remove_node(tid)
 
     def _apply(self, deltas: List[Edge]) -> Optional[List[str]]:
         """Insert composed deltas atomically: on a cycle, roll back the
@@ -401,24 +477,13 @@ class SiIncrementalChecker(IncrementalChecker):
             applied.append((u, w))
         return None
 
-    def _insert_dep(self, edge: Edge) -> Optional[List[str]]:
-        u, v = edge
-        deltas: List[Edge] = [(u, v)]
-        deltas.extend((u, w) for w in self._rw_succ[v])
-        cycle = self._apply(deltas)
-        if cycle is None:
-            self._dep_succ[u].add(v)
-            self._dep_pred[v].add(u)
-        return cycle
+    def _insert_dep(self, u: str, v: str) -> Optional[List[str]]:
+        return self._apply(
+            [(u, v)] + [(u, w) for w in self.edges.succs(v, RW)]
+        )
 
-    def _insert_rw(self, edge: Edge) -> Optional[List[str]]:
-        v, w = edge
-        deltas = [(u, w) for u in self._dep_pred[v]]
-        cycle = self._apply(deltas)
-        if cycle is None:
-            self._rw_succ[v].add(w)
-            self._rw_pred[w].add(v)
-        return cycle
+    def _insert_rw(self, v: str, w: str) -> Optional[List[str]]:
+        return self._apply([(u, w) for u in self.edges.preds(v, DEP)])
 
 
 class PsiIncrementalChecker(IncrementalChecker):
@@ -431,94 +496,82 @@ class PsiIncrementalChecker(IncrementalChecker):
     transitive closure is ever built.
     """
 
-    target = "(SO ∪ WR ∪ WW)+ ; RW?"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._dag = DynamicTopoOrder()
-        # rw(c, a) indexed both ways for eviction and loop queries.
-        self._rw_out: Dict[str, Set[str]] = {}
-        self._rw_in: Dict[str, Set[str]] = {}
-
-    def add_node(self, tid: str) -> None:
-        self._dag.add_node(tid)
-
-    def remove_node(self, tid: str) -> None:
-        self._dag.remove_node(tid)
-        for a in self._rw_out.pop(tid, ()):
-            self._rw_in[a].discard(tid)
-        for c in self._rw_in.pop(tid, ()):
-            self._rw_out[c].discard(tid)
-        self._dep_edges = {e for e in self._dep_edges if tid not in e}
-        self._rw_edges = {e for e in self._rw_edges if tid not in e}
-
-    def _insert_dep(self, edge: Edge) -> Optional[List[str]]:
-        u, v = edge
+    def _insert_dep(self, u: str, v: str) -> Optional[List[str]]:
         cycle = self._dag.add_edge(u, v)
         if cycle is not None:
             return cycle
         # The new dep edge may have completed a dep path a => c closing
-        # some existing RW edge (c, a): intersect dep-ancestors of u
-        # with dep-descendants of v against the RW index.
-        loop = self._dep_edge_closes_rw(u, v)
-        if loop is not None:
-            # Keep the dep edge (the dep DAG is still acyclic); the
-            # loop is reported once, at this closing commit.
-            return loop
-        return None
+        # some live RW edge (c, a).  The dep edge stays in the DAG (it
+        # is still acyclic); the loop is reported once, at this commit.
+        return self._dep_edge_closes_rw(u, v)
 
-    def _insert_rw(self, edge: Edge) -> Optional[List[str]]:
-        c, a = edge
+    def _insert_rw(self, c: str, a: str) -> Optional[List[str]]:
         path = self._dag.find_path(a, c)
-        if path is not None:
-            return path + [a]
-        self._rw_out.setdefault(c, set()).add(a)
-        self._rw_in.setdefault(a, set()).add(c)
-        return None
+        return None if path is None else path + [a]
 
     def _dep_edge_closes_rw(self, u: str, v: str) -> Optional[List[str]]:
-        if not self._rw_out:
+        # Dep-descendants c of v with a live RW edge (c, a), by target.
+        desc = _search(v, self._dag._succ)
+        closing = {a: c for c in desc for a in self.edges.succs(c, RW)}
+        if not closing:
             return None
-        succ, pred = self._dag._succ, self._dag._pred
-        # Descendants of v (dep paths v => c), with path parents.
-        desc: Dict[str, Optional[str]] = {v: None}
-        stack = [v]
-        while stack:
-            node = stack.pop()
-            for nxt in succ[node]:
-                if nxt not in desc:
-                    desc[nxt] = node
-                    stack.append(nxt)
-        # Ancestors of u (dep paths a => u); anc[x] is the next node on
-        # the dep path from x towards u.
-        anc: Dict[str, Optional[str]] = {u: None}
-        stack = [u]
-        while stack:
-            node = stack.pop()
-            for nxt in pred[node]:
-                if nxt not in anc:
-                    anc[nxt] = node
-                    stack.append(nxt)
-        for c, targets in self._rw_out.items():
-            if c not in desc:
-                continue
-            for a in targets:
-                if a not in anc:
-                    continue
+        # Dep-ancestors of u; anc[x] is the next node on x's path to u.
+        anc = _search(u, self._dag._pred)
+        for a, c in closing.items():
+            if a in anc:
                 # Loop: a => u -> v => c -RW-> a.
-                head: List[str] = [a]
-                cursor = anc[a]
-                while cursor is not None:
-                    head.append(cursor)
-                    cursor = anc[cursor]
-                tail: List[str] = [c]
-                cursor = desc[c]
-                while cursor is not None:
-                    tail.append(cursor)
-                    cursor = desc[cursor]
-                tail.reverse()
-                return head + tail + [a]
+                return _unwind(anc, a) + _unwind(desc, c)[::-1] + [a]
         return None
+
+
+class RebuildChecker(Checker):
+    """The differential-testing oracle: record every edge (none is ever
+    dropped) and re-derive the model's whole condition on each commit —
+    ``O(V+E)`` for SI/SER and a full transitive closure for PSI.  Once a
+    cycle exists it is re-flagged at every later commit."""
+
+    def __init__(self, model: str) -> None:
+        super().__init__()
+        self.model = model
+
+    def observe(
+        self, dep_edges: Iterable[LabelledEdge], rw_edges: Iterable[Edge]
+    ) -> Optional[List[str]]:
+        for a, b, kind in dep_edges:
+            self.edges.add(a, b, kind)
+        for a, b in rw_edges:
+            self.edges.add(a, b, RW)
+        edges, nodes = self.edges.by_kind(), self.edges.succ.keys()
+        deps = Relation(edges["SO"] | edges["WR"] | edges["WW"], nodes)
+        rw = Relation(edges["RW"], nodes)
+        if self.model == "SER":
+            return deps.union(rw).find_cycle()
+        if self.model == "SI":
+            return deps.compose(rw.reflexive()).find_cycle()
+        closure = deps.transitive_closure()
+        if closure.compose(rw.reflexive()).is_irreflexive():
+            return None
+        return _psi_witness(deps, rw, closure)
+
+
+def _psi_witness(
+    deps: Relation, rw: Relation, closure: Relation
+) -> List[str]:
+    """An actual dependency loop witnessing a PSI violation.
+
+    ``(deps+ ; rw?)`` being reflexive somewhere means either ``deps``
+    itself has a cycle, or some anti-dependency ``(c, a)`` is closed by
+    a dependency path ``a ⇒ c``; reconstruct and return that loop
+    (``[a, ..., c, a]``) rather than a degenerate ``[t, t]`` pair.
+    """
+    cycle = deps.find_cycle()
+    if cycle is not None:
+        return list(cycle)
+    for c, a in rw:
+        if (a, c) in closure.pairs:
+            path = _unwind(_search(a, deps.successors_map()), c)[::-1]
+            return path + [a]
+    return []
 
 
 CHECKERS = {
@@ -529,6 +582,9 @@ CHECKERS = {
 """Model name → incremental checker class."""
 
 
-def make_checker(model: str) -> IncrementalChecker:
-    """Build the incremental checker for ``model`` (SI/SER/PSI)."""
+def make_checker(model: str, checker: str = "incremental") -> Checker:
+    """Build the ``checker`` back-end (``"incremental"`` or
+    ``"rebuild"``) for ``model`` (SI/SER/PSI)."""
+    if checker == "rebuild":
+        return RebuildChecker(model)
     return CHECKERS[model]()

@@ -25,16 +25,18 @@ and after every commit re-checks the model's graph condition
 violation it reports the offending cycle, and the monitor keeps the full
 graph so post-mortem extraction is possible.
 
-Two certification back-ends are available via the ``checker`` knob:
+The edges live in one labelled store owned by the certification
+back-end (:class:`~repro.monitor.incremental.EdgeStore`).  Two back-ends
+are available via the ``checker`` knob:
 
 * ``"incremental"`` (the default) maintains the model's composed
   relation as a DAG under a dynamic topological order
   (:mod:`repro.monitor.incremental`), so each commit costs work
   proportional to its own edge deltas' affected region — near-amortised
   constant in the common no-violation case.  A cycle-closing edge is
-  reported and dropped, so certification continues on the still-acyclic
-  remainder: each violation is flagged once, at the commit that closes
-  it.
+  reported and dropped from certification (the store still lists it),
+  so certification continues on the still-acyclic remainder: each
+  violation is flagged once, at the commit that closes it.
 * ``"rebuild"`` re-derives every relation and re-runs the full cycle
   test on each commit — ``O(V+E)`` per commit for SI/SER and a full
   transitive closure for PSI.  It is kept as the differential-testing
@@ -51,14 +53,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ReproError
 from ..core.events import Obj, Op, Value
-from ..core.relations import Relation
 from ..core.transactions import Transaction
 from ..mvcc.engine import BaseEngine
-from .incremental import IncrementalChecker, make_checker
+from .incremental import SO, WR, WW, Edge, LabelledEdge, make_checker
 
 
 class MonitorError(ReproError):
@@ -89,7 +90,6 @@ class Violation:
 class _TxnRecord:
     txn: Transaction
     session: str
-    index: int  # commit position
 
 
 class ConsistencyMonitor:
@@ -133,30 +133,25 @@ class ConsistencyMonitor:
         self.strict_values = strict_values
         self.init_tid = init_tid
         self._records: Dict[str, _TxnRecord] = {}
-        self._commit_order: List[str] = []
+        self._commit_order: Deque[str] = deque()
         self._sessions: Dict[str, List[str]] = {}
         # Per object: the committed writer sequence and value attribution.
         self._writers: Dict[Obj, List[str]] = {}
         self._value_writer: Dict[Obj, Dict[Value, str]] = {}
+        self._attributions = 0  # entries across the value tables
         self._collided: Dict[Obj, Set[Value]] = {}
         # Per object: reader tid → the version (writer tid) it read.
         self._readers: Dict[Obj, Dict[str, str]] = {}
         # Per object: the value of the newest committed version.
         self._latest_value: Dict[Obj, Value] = {}
-        # Dependency edges over tids.
-        self._so: Set[Tuple[str, str]] = set()
-        self._wr: Set[Tuple[str, str]] = set()
-        self._ww: Set[Tuple[str, str]] = set()
-        self._rw: Set[Tuple[str, str]] = set()
-        self._core: Optional[IncrementalChecker] = (
-            make_checker(model) if checker == "incremental" else None
-        )
+        # The dependency graph over tids lives in the checker's store.
+        self._checker = make_checker(model, checker)
         self.violations: List[Violation] = []
-        if initial_values:
-            for obj, value in initial_values.items():
-                self._writers[obj] = [init_tid]
-                self._value_writer.setdefault(obj, {})[value] = init_tid
-                self._latest_value[obj] = value
+        for obj, value in (initial_values or {}).items():
+            self._writers[obj] = [init_tid]
+            self._value_writer[obj] = {value: init_tid}
+            self._latest_value[obj] = value
+            self._attributions += 1
 
     # ------------------------------------------------------------------
     # Observation
@@ -174,29 +169,16 @@ class ConsistencyMonitor:
         if tid in self._records:
             raise MonitorError(f"transaction {tid!r} observed twice")
         txn = _make_transaction(tid, events)
-        record = _TxnRecord(txn, session, len(self._commit_order))
-        self._records[tid] = record
+        self._records[tid] = _TxnRecord(txn, session)
         self._commit_order.append(tid)
-        if self._core is not None:
-            self._core.add_node(tid)
-
-        new_dep: List[Tuple[str, str]] = []
-        new_rw: List[Tuple[str, str]] = []
-
-        def dep_edge(kind: Set[Tuple[str, str]], a: str, b: str) -> None:
-            if (a, b) not in kind:
-                kind.add((a, b))
-                new_dep.append((a, b))
-
-        def rw_edge(a: str, b: str) -> None:
-            if (a, b) not in self._rw:
-                self._rw.add((a, b))
-                new_rw.append((a, b))
+        self._checker.add_node(tid)
+        # This commit's edges; the checker's store drops duplicates.
+        deps: List[LabelledEdge] = []
+        rws: List[Edge] = []
 
         # SO: edges from every earlier transaction of the session.
         earlier = self._sessions.setdefault(session, [])
-        for prev in earlier:
-            dep_edge(self._so, prev, tid)
+        deps.extend((prev, tid, SO) for prev in earlier)
         earlier.append(tid)
 
         # WR and RW-out: attribute external reads to writers.
@@ -205,36 +187,54 @@ class ConsistencyMonitor:
             writer = self._attribute_read(tid, obj, value)
             self._readers.setdefault(obj, {})[tid] = writer
             if writer != tid and self._in_graph(writer):
-                dep_edge(self._wr, writer, tid)
+                deps.append((writer, tid, WR))
             # RW out of this reader towards every later overwriter of
             # that version (writers after `writer` in the object's order).
-            for later in self._overwriters_of(obj, writer):
-                if later != tid:
-                    rw_edge(tid, later)
+            rws.extend(
+                (tid, later)
+                for later in self._overwriters_of(obj, writer)
+                if later != tid
+            )
 
         # WW and RW-in for writes: this transaction overwrites the
         # current last version of each object it writes.
         for obj in sorted(txn.written_objects):
             seq = self._writers.setdefault(obj, [])
-            for prev in seq:
-                if prev != tid and self._in_graph(prev):
-                    dep_edge(self._ww, prev, tid)
+            deps.extend(
+                (prev, tid, WW)
+                for prev in seq
+                if prev != tid and self._in_graph(prev)
+            )
             # Earlier readers of obj gain RW edges to tid (the readers
             # index makes this O(readers-of-obj), not O(total reads)).
-            for reader in self._readers.get(obj, ()):
-                if reader != tid:
-                    rw_edge(reader, tid)
+            rws.extend(
+                (reader, tid)
+                for reader in self._readers.get(obj, ())
+                if reader != tid
+            )
             seq.append(tid)
             value = txn.final_write(obj)
             table = self._value_writer.setdefault(obj, {})
-            if value in table and table[value] != tid:
+            if value not in table:
+                self._attributions += 1
+            elif table[value] != tid:
                 self._collided.setdefault(obj, set()).add(value)
             table[value] = tid
             self._latest_value[obj] = value
 
-        violation = self._check(tid, new_dep, new_rw)
-        if violation is not None:
-            self.violations.append(violation)
+        cycle = self._checker.observe(deps, rws)
+        if cycle is None:
+            return None
+        violation = Violation(
+            model=self.model,
+            tid=tid,
+            cycle=list(cycle),
+            message=(
+                f"{self.model} violated at commit of {tid}: "
+                f"dependency cycle {' -> '.join(map(str, cycle))}"
+            ),
+        )
+        self.violations.append(violation)
         return violation
 
     def _known(self, tid: str) -> bool:
@@ -272,63 +272,6 @@ class ConsistencyMonitor:
         return self.init_tid
 
     # ------------------------------------------------------------------
-    # Checking
-    # ------------------------------------------------------------------
-
-    def _check(
-        self,
-        tid: str,
-        new_dep: Sequence[Tuple[str, str]],
-        new_rw: Sequence[Tuple[str, str]],
-    ) -> Optional[Violation]:
-        if self._core is not None:
-            cycle = self._core.observe(new_dep, new_rw)
-            if cycle is None:
-                return None
-            return self._violation(tid, cycle)
-        return self._check_rebuild(tid)
-
-    def _violation(self, tid: str, cycle: Sequence[str]) -> Violation:
-        return Violation(
-            model=self.model,
-            tid=tid,
-            cycle=list(cycle),
-            message=(
-                f"{self.model} violated at commit of {tid}: "
-                f"dependency cycle {' -> '.join(map(str, cycle))}"
-            ),
-        )
-
-    def _dependency_relations(self):
-        universe = set(self._records)
-        universe.add(self.init_tid)
-        so = Relation(self._so, universe)
-        wr = Relation(self._wr, universe)
-        ww = Relation(self._ww, universe)
-        rw = Relation(self._rw, universe)
-        return so, wr, ww, rw
-
-    def _check_rebuild(self, tid: str) -> Optional[Violation]:
-        """Full re-derivation of the model's graph condition (oracle)."""
-        so, wr, ww, rw = self._dependency_relations()
-        deps = so.union(wr, ww)
-        if self.model == "SER":
-            target = deps.union(rw)
-            bad = not target.is_acyclic()
-        elif self.model == "SI":
-            target = deps.compose(rw.reflexive())
-            bad = not target.is_acyclic()
-        else:  # PSI
-            closure = deps.transitive_closure()
-            target = closure.compose(rw.reflexive())
-            bad = not target.is_irreflexive()
-            if bad:
-                return self._violation(tid, _psi_witness(deps, rw, closure))
-        if not bad:
-            return None
-        return self._violation(tid, target.find_cycle() or [])
-
-    # ------------------------------------------------------------------
     # Post-mortem views
     # ------------------------------------------------------------------
 
@@ -342,59 +285,24 @@ class ConsistencyMonitor:
         """Number of commits observed."""
         return len(self._commit_order)
 
-    def dependency_edges(self) -> Dict[str, Set[Tuple[str, str]]]:
-        """The accumulated dependency edges (over tids), for inspection."""
+    def dependency_edges(self) -> Dict[str, Set[Edge]]:
+        """The accumulated dependency edges (over tids), for inspection.
+
+        A cycle-closing edge the incremental checker dropped from
+        certification is still listed.
+        """
+        return self._checker.edges.by_kind()
+
+    def state_size(self) -> Dict[str, int]:
+        """Sizes of the retained structures (for tests and benches)."""
         return {
-            "SO": set(self._so),
-            "WR": set(self._wr),
-            "WW": set(self._ww),
-            "RW": set(self._rw),
+            "records": len(self._records),
+            "edges": len(self._checker.edges),
+            "read_versions": sum(
+                len(readers) for readers in self._readers.values()
+            ),
+            "value_attributions": self._attributions,
         }
-
-
-def _psi_witness(
-    deps: Relation, rw: Relation, closure: Relation
-) -> List[str]:
-    """An actual dependency loop witnessing a PSI violation.
-
-    ``(deps+ ; rw?)`` being reflexive somewhere means either ``deps``
-    itself has a cycle, or some anti-dependency ``(c, a)`` is closed by
-    a dependency path ``a ⇒ c``; reconstruct and return that loop
-    (``[a, ..., c, a]``) rather than a degenerate ``[t, t]`` pair.
-    """
-    cycle = deps.find_cycle()
-    if cycle is not None:
-        return list(cycle)
-    for c, a in rw:
-        if (a, c) in closure.pairs:
-            path = _dep_path(deps, a, c)
-            if path is not None:
-                return path + [a]
-    return []
-
-
-def _dep_path(deps: Relation, a: str, c: str) -> Optional[List[str]]:
-    """A BFS path ``[a, ..., c]`` through ``deps``, if one exists."""
-    if a == c:
-        return [a]
-    succ = deps.successors_map()
-    parent: Dict[str, Optional[str]] = {a: None}
-    queue: deque = deque([a])
-    while queue:
-        node = queue.popleft()
-        for nxt in succ.get(node, ()):
-            if nxt == c:
-                path = [c, node]
-                cursor = parent[node]
-                while cursor is not None:
-                    path.append(cursor)
-                    cursor = parent[cursor]
-                path.reverse()
-                return path
-            if nxt not in parent:
-                parent[nxt] = node
-                queue.append(nxt)
-    return None
 
 
 def watch_engine(

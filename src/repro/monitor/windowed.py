@@ -20,6 +20,12 @@ cycle closes is missed, so the window must be chosen larger than the
 anomaly horizon of interest (for the MVCC engines: the maximum number
 of commits overlapping any transaction's lifetime).
 
+Eviction is also local: evicting a transaction walks only its own
+adjacency in the checker's edge store (and, for SI, the composed edges
+it witnesses as a middle node), then its own entries in the per-object
+reader and writer indexes.  One eviction costs O(degree), not
+O(retained edges).
+
 Version attribution survives eviction: the per-object value table
 keeps the attribution of each object's *current* version even when its
 writer has been evicted (a later reader of that version is then placed
@@ -113,7 +119,7 @@ class WindowedMonitor(ConsistencyMonitor):
         if superseded:
             self._superseded_by[tid] = superseded
         while len(self._commit_order) > self.window:
-            self._evict(self._commit_order.pop(0))
+            self._evict(self._commit_order.popleft())
         self._prune_evicted_set()
         return violation
 
@@ -142,22 +148,17 @@ class WindowedMonitor(ConsistencyMonitor):
     # ------------------------------------------------------------------
 
     def _evict(self, old: str) -> None:
-        """Remove ``old`` and every incident edge from the graph."""
+        """Remove ``old`` and its incident edges, in O(its degree)."""
         record = self._records.pop(old)
         self._evicted.add(old)
         self.evicted_count += 1
-        if self._core is not None:
-            self._core.remove_node(old)
+        self._checker.remove_node(old)
         session_tids = self._sessions.get(record.session)
         if session_tids is not None:
             if old in session_tids:
                 session_tids.remove(old)
             if not session_tids:
                 del self._sessions[record.session]
-        for edges in (self._so, self._wr, self._ww, self._rw):
-            edges.difference_update(
-                [(a, b) for a, b in edges if a == old or b == old]
-            )
         for obj in record.txn.external_read_objects:
             readers = self._readers.get(obj)
             if readers is not None:
@@ -176,14 +177,12 @@ class WindowedMonitor(ConsistencyMonitor):
             table = self._value_writer.get(obj, {})
             if value in table and self._latest_value.get(obj) != value:
                 del table[value]
+                self._attributions -= 1
 
     def _prune_evicted_set(self) -> None:
         """Forget evicted tids nothing references any more, keeping the
         tombstone set (and so total memory) bounded by the window."""
-        retained_attributions = sum(
-            len(table) for table in self._value_writer.values()
-        )
-        if len(self._evicted) <= self.window + retained_attributions:
+        if len(self._evicted) <= self.window + self._attributions:
             return
         referenced = {
             version
@@ -213,17 +212,8 @@ class WindowedMonitor(ConsistencyMonitor):
         return len(self._commit_order)
 
     def state_size(self) -> Dict[str, int]:
-        """Rough sizes of the GC-bounded structures (for tests/benches)."""
+        """Sizes of the GC-bounded structures (for tests and benches)."""
         return {
-            "records": len(self._records),
-            "edges": sum(
-                len(s) for s in (self._so, self._wr, self._ww, self._rw)
-            ),
-            "read_versions": sum(
-                len(readers) for readers in self._readers.values()
-            ),
-            "value_attributions": sum(
-                len(t) for t in self._value_writer.values()
-            ),
+            **super().state_size(),
             "evicted_tombstones": len(self._evicted),
         }

@@ -12,6 +12,8 @@ import pytest
 from repro.core.events import read, write
 from repro.monitor import ConsistencyMonitor, WindowedMonitor
 from repro.monitor.incremental import (
+    DEP,
+    SO,
     DynamicTopoOrder,
     PsiIncrementalChecker,
     SerIncrementalChecker,
@@ -141,7 +143,7 @@ class TestSiChecker:
         checker = make_checker("SI")
         for tid in ("t1", "t2"):
             checker.add_node(tid)
-        assert checker.observe([("t1", "t2")], []) is None
+        assert checker.observe([("t1", "t2", SO)], []) is None
         cycle = checker.observe([], [("t2", "t1")])
         assert cycle is not None and cycle[0] == cycle[-1]
 
@@ -150,7 +152,7 @@ class TestSiChecker:
         for tid in ("t1", "t2"):
             checker.add_node(tid)
         assert checker.observe([], [("t2", "t1")]) is None
-        cycle = checker.observe([("t1", "t2")], [])
+        cycle = checker.observe([("t1", "t2", SO)], [])
         assert cycle is not None and cycle[0] == cycle[-1]
 
     def test_two_rw_steps_do_not_compose(self):
@@ -159,7 +161,7 @@ class TestSiChecker:
         checker = make_checker("SI")
         for tid in ("t1", "t2", "t3"):
             checker.add_node(tid)
-        assert checker.observe([("t1", "t2")], [("t2", "t3")]) is None
+        assert checker.observe([("t1", "t2", SO)], [("t2", "t3")]) is None
         assert checker.observe([], [("t3", "t1")]) is None
 
     def test_eviction_decrements_middle_witnesses(self):
@@ -169,26 +171,39 @@ class TestSiChecker:
         checker = make_checker("SI")
         for tid in ("t1", "t2", "t3"):
             checker.add_node(tid)
-        checker.observe([("t1", "t2")], [("t2", "t3")])
+        checker.observe([("t1", "t2", SO)], [("t2", "t3")])
         assert checker._dag.edge_count("t1", "t3") == 1
         checker.remove_node("t2")
         assert checker._dag.edge_count("t1", "t3") == 0
-        assert checker.observe([("t3", "t1")], []) is None
+        assert checker.observe([("t3", "t1", SO)], []) is None
 
     def test_violation_rolls_back_partial_deltas(self):
         checker = make_checker("SI")
         for tid in ("t1", "t2", "t3"):
             checker.add_node(tid)
-        checker.observe([("t2", "t3")], [])
+        checker.observe([("t2", "t3", SO)], [])
         checker.observe([], [("t2", "t1"), ("t3", "t1")])
         # dep edge (t1, t2) would compose to (t1, t1) via rw (t2, t1):
         # rejected, and its other delta (t1, t2)/(t1, t3)... must not
         # linger half-applied.
-        cycle = checker.observe([("t1", "t2")], [])
+        cycle = checker.observe([("t1", "t2", SO)], [])
         assert cycle is not None
         assert checker._dag.edge_count("t1", "t2") == 0
         assert checker._dag.edge_count("t1", "t3") == 0
-        assert ("t1", "t2") not in checker._dep_edges
+        assert "t2" not in checker.edges.succs("t1", DEP)
+
+    def test_dropped_dep_edge_feeds_no_later_composition(self):
+        checker = make_checker("SI")
+        for tid in ("t1", "t2", "t3"):
+            checker.add_node(tid)
+        checker.observe([], [("t2", "t1")])
+        assert checker.observe([("t1", "t2", SO)], []) is not None
+        # The rejected dep edge is still listed...
+        assert ("t1", "t2") in checker.edges.by_kind()["SO"]
+        # ... but a later RW edge out of t2 does not compose with it.
+        assert checker.observe([], [("t2", "t3")]) is None
+        assert checker._dag.edge_count("t1", "t3") == 0
+        assert "t1" not in checker.edges.preds("t2", DEP)
 
 
 class TestPsiChecker:
@@ -196,15 +211,15 @@ class TestPsiChecker:
         checker = make_checker("PSI")
         for tid in ("t1", "t2"):
             checker.add_node(tid)
-        assert checker.observe([("t1", "t2")], []) is None
-        cycle = checker.observe([("t2", "t1")], [])
+        assert checker.observe([("t1", "t2", SO)], []) is None
+        cycle = checker.observe([("t2", "t1", SO)], [])
         assert cycle == ["t2", "t1", "t2"]
 
     def test_rw_edge_closing_dep_path_detected_with_real_path(self):
         checker = make_checker("PSI")
         for tid in ("t1", "t2", "t3"):
             checker.add_node(tid)
-        checker.observe([("t1", "t2"), ("t2", "t3")], [])
+        checker.observe([("t1", "t2", SO), ("t2", "t3", SO)], [])
         cycle = checker.observe([], [("t3", "t1")])
         assert cycle == ["t1", "t2", "t3", "t1"]
 
@@ -212,8 +227,8 @@ class TestPsiChecker:
         checker = make_checker("PSI")
         for tid in ("t1", "t2", "t3"):
             checker.add_node(tid)
-        assert checker.observe([("t1", "t2")], [("t3", "t1")]) is None
-        cycle = checker.observe([("t2", "t3")], [])
+        assert checker.observe([("t1", "t2", SO)], [("t3", "t1")]) is None
+        cycle = checker.observe([("t2", "t3", SO)], [])
         assert cycle == ["t1", "t2", "t3", "t1"]
 
     def test_two_rw_steps_allowed(self):
@@ -223,19 +238,19 @@ class TestPsiChecker:
         for tid in ("t1", "t2", "t3", "t4"):
             checker.add_node(tid)
         assert checker.observe(
-            [("t1", "t3"), ("t2", "t4")], [("t3", "t2"), ("t4", "t1")]
+            [("t1", "t3", SO), ("t2", "t4", SO)], [("t3", "t2"), ("t4", "t1")]
         ) is None
 
     def test_eviction_clears_rw_index(self):
         checker = make_checker("PSI")
         for tid in ("t1", "t2", "t3"):
             checker.add_node(tid)
-        checker.observe([("t1", "t2")], [("t3", "t1")])
+        checker.observe([("t1", "t2", SO)], [("t3", "t1")])
         checker.remove_node("t3")
         # After eviction the rw edge is gone: a dep edge that would have
         # closed the loop through t3 is now fine.
         checker.add_node("t3")
-        assert checker.observe([("t2", "t3")], []) is None
+        assert checker.observe([("t2", "t3", SO)], []) is None
 
 
 class TestMonitorKnob:

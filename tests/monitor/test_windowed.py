@@ -193,8 +193,9 @@ class TestGarbageCollection:
         # than a WR edge to the dead node.
         v = monitor.observe_commit("r", "s-r", [read("x", 1)])
         assert v is None
-        assert ("r", "w2") in monitor._rw
-        assert all(edge[0] != "w1" for edge in monitor._wr)
+        edges = monitor.dependency_edges()
+        assert ("r", "w2") in edges["RW"]
+        assert all(edge[0] != "w1" for edge in edges["WR"])
         assert monitor.consistent
         # Once w2 ages out, the attribution goes with it.
         for i in range(8):
