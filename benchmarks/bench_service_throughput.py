@@ -124,7 +124,7 @@ def test_service_report():
 # O(log n) snapshot reads, monitor observation moved off the commit
 # path) should let throughput grow with worker threads for closed-loop
 # clients (per-transaction think time models the client round trip).
-# The sweep crosses workers x engine x lock mode x monitor mode on
+# The sweep crosses workers x engine x monitor mode on
 # read-heavy and write-heavy SmallBank mixes and records
 # ``BENCH_engine_scaling.json``.  ``E25_MAX_SECONDS`` caps the sweep
 # (CI smoke); the scaling gate — 4-worker read-heavy SI observe-only
@@ -148,7 +148,7 @@ E25_ENGINES = {
     "SI": (SIEngine, "SI"),
     "SER": (SerializableEngine, "SER"),
     "PSI": (
-        lambda initial, **kw: PSIEngine(initial, auto_deliver=True, **kw),
+        lambda initial: PSIEngine(initial, auto_deliver=True),
         "PSI",
     ),
 }
@@ -159,31 +159,23 @@ def _e25_cells():
     tail, never the head).  The leading cells are the scaling gate."""
     cells = []
     for workers in E25_WORKERS:  # the gate + its scaling curve
-        cells.append(("SI", "striped", "pipelined", "read-heavy", workers))
-    for workers in (1, 4):  # striped vs the old global lock
-        cells.append(
-            ("SI", "global-lock", "pipelined", "read-heavy", workers)
-        )
+        cells.append(("SI", "pipelined", "read-heavy", workers))
     for workers in (1, 4):  # pipelined vs in-commit certification
-        cells.append(("SI", "striped", "sync", "read-heavy", workers))
+        cells.append(("SI", "sync", "read-heavy", workers))
     for workers in (1, 4):  # commit-path stress
-        cells.append(
-            ("SI", "striped", "pipelined", "write-heavy", workers)
-        )
+        cells.append(("SI", "pipelined", "write-heavy", workers))
     for model in ("SER", "PSI"):  # the other engines' curves
         for workers in (1, 4):
-            cells.append(
-                (model, "striped", "pipelined", "read-heavy", workers)
-            )
+            cells.append((model, "pipelined", "read-heavy", workers))
     return cells
 
 
-def _e25_drive(model, lock_mode, monitor_mode, mix_name, workers):
+def _e25_drive(model, monitor_mode, mix_name, workers):
     factory, monitor_model = E25_ENGINES[model]
     mix = smallbank_mix(
         customers=E25_CUSTOMERS, weights=E25_MIXES[mix_name]
     )
-    engine = factory(dict(mix.initial), lock_mode=lock_mode)
+    engine = factory(dict(mix.initial))
     service = TransactionService.certified(
         engine,
         model=monitor_model,
@@ -219,10 +211,9 @@ def test_bench_engine_scaling():
             dropped.append(key)
             continue
         service, result = _e25_drive(*cell)
-        model, lock_mode, monitor_mode, mix_name, workers = cell
+        model, monitor_mode, mix_name, workers = cell
         results[key] = {
             "engine": model,
-            "lock_mode": lock_mode,
             "monitor_mode": monitor_mode,
             "mix": mix_name,
             "workers": workers,
@@ -235,7 +226,6 @@ def test_bench_engine_scaling():
         rows.append(
             (
                 model,
-                lock_mode,
                 monitor_mode,
                 mix_name,
                 workers,
@@ -252,7 +242,7 @@ def test_bench_engine_scaling():
         "E25 — engine scaling "
         f"(SmallBank, {E25_TXNS} txns/worker, "
         f"{E25_THINK_TIME * 1000:.0f}ms think time)",
-        ["engine", "locks", "monitor", "mix", "workers", "txn/s",
+        ["engine", "monitor", "mix", "workers", "txn/s",
          "aborts"],
         rows,
     )
@@ -260,7 +250,7 @@ def test_bench_engine_scaling():
         print(f"E25: time budget dropped {len(dropped)} cells: {dropped}")
 
     def tps(workers):
-        return results[f"SI/striped/pipelined/read-heavy/{workers}"][
+        return results[f"SI/pipelined/read-heavy/{workers}"][
             "throughput_tps"
         ]
 

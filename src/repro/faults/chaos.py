@@ -42,21 +42,18 @@ CHAOS_ENGINES = ("SI", "SER", "PSI", "2PL")
 """Engine keys the harness accepts (2PL certifies against SER)."""
 
 
-def _build_engine(key: str, initial: Dict[str, Any], lock_mode: str):
+def _build_engine(key: str, initial: Dict[str, Any]):
     from ..mvcc import PSIEngine, SerializableEngine, SIEngine
     from ..mvcc.locking import TwoPhaseLockingEngine
 
     if key == "SI":
-        return SIEngine(initial, lock_mode=lock_mode), "SI"
+        return SIEngine(initial), "SI"
     if key == "SER":
-        return SerializableEngine(initial, lock_mode=lock_mode), "SER"
+        return SerializableEngine(initial), "SER"
     if key == "PSI":
-        return (
-            PSIEngine(initial, auto_deliver=True, lock_mode=lock_mode),
-            "PSI",
-        )
+        return PSIEngine(initial, auto_deliver=True), "PSI"
     if key == "2PL":
-        return TwoPhaseLockingEngine(initial, lock_mode=lock_mode), "SER"
+        return TwoPhaseLockingEngine(initial), "SER"
     raise StoreError(
         f"unknown engine {key!r}; expected one of {CHAOS_ENGINES}"
     )
@@ -183,7 +180,6 @@ def run_chaos(
     seed: int = 0,
     monitor_mode: str = "sync",
     window: int = 64,
-    lock_mode: str = "striped",
     fsync_policy: str = "group",
     on_wal_failure: str = "fail_stop",
     default_deadline: Optional[float] = None,
@@ -205,9 +201,9 @@ def run_chaos(
             ``recovery_window`` closes; at least one round always runs).
         seed: seeds the load generator streams (the fault plan carries
             its own seed).
-        monitor_mode / window / lock_mode / fsync_policy /
-        on_wal_failure / default_deadline / max_concurrent: service
-            stack knobs, as for ``serve-bench``.
+        monitor_mode / window / fsync_policy / on_wal_failure /
+        default_deadline / max_concurrent: service stack knobs, as for
+            ``serve-bench``.
         recovery_window: seconds after disarm within which the service
             must reach ``healthy`` (unless the plan poisoned the log).
         health_policy: override the enforcing default
@@ -215,9 +211,7 @@ def run_chaos(
     """
     started = time.perf_counter()
     mix = MIXES[mix_name]()
-    engine, model = _build_engine(
-        engine_key, dict(mix.initial), lock_mode=lock_mode
-    )
+    engine, model = _build_engine(engine_key, dict(mix.initial))
     wal = WriteAheadLog(
         wal_dir,
         fsync_policy=fsync_policy,

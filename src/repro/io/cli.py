@@ -183,23 +183,20 @@ SERVE_ENGINES = ("SI", "SER", "PSI", "2PL")
 """Engine keys accepted by ``serve-bench`` (plus ``all``)."""
 
 
-def _serve_engine(key: str, initial, lock_mode: str = "striped"):
+def _serve_engine(key: str, initial):
     from ..mvcc import PSIEngine, SerializableEngine, SIEngine
     from ..mvcc.locking import TwoPhaseLockingEngine
 
     if key == "SI":
-        return SIEngine(initial, lock_mode=lock_mode), "SI"
+        return SIEngine(initial), "SI"
     if key == "SER":
-        return SerializableEngine(initial, lock_mode=lock_mode), "SER"
+        return SerializableEngine(initial), "SER"
     if key == "PSI":
         # Eager propagation: each worker session gets its own replica,
         # so lazy delivery would just starve every remote read.
-        return (
-            PSIEngine(initial, auto_deliver=True, lock_mode=lock_mode),
-            "PSI",
-        )
+        return PSIEngine(initial, auto_deliver=True), "PSI"
     if key == "2PL":
-        return TwoPhaseLockingEngine(initial, lock_mode=lock_mode), "SER"
+        return TwoPhaseLockingEngine(initial), "SER"
     raise KeyError(key)
 
 
@@ -220,7 +217,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         "window": args.window,
         "checker": args.checker,
         "monitor_mode": args.monitor_mode,
-        "lock_mode": args.lock_mode,
         "seed": args.seed,
         "think_time": args.think_time,
         "max_retries": args.max_retries,
@@ -236,9 +232,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     total_violations = 0
     for key in engines:
         mix = MIXES[args.mix]()
-        engine, model = _serve_engine(
-            key, dict(mix.initial), lock_mode=args.lock_mode
-        )
+        engine, model = _serve_engine(key, dict(mix.initial))
         wal = None
         try:
             if args.wal_dir:
@@ -287,7 +281,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         report["engines"][key] = {
             "monitor_model": model,
             "monitor_mode": args.monitor_mode,
-            "lock_mode": args.lock_mode,
             "committed": result.committed,
             "retry_exhausted": result.retry_exhausted,
             "violations": result.violations,
@@ -614,12 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="feed the monitor inside the commit critical section "
              "(sync — certification) or through the bounded async "
              "feed (pipelined — observe-only)",
-    )
-    p_serve.add_argument(
-        "--lock-mode", choices=["striped", "global-lock"],
-        default="striped",
-        help="engine locking: striped per-object locks with lock-free "
-             "snapshot reads (default) or one global engine lock",
     )
     p_serve.add_argument(
         "--think-time", type=float, default=0.0,

@@ -9,7 +9,6 @@ abstract executions for cross-validation against the declarative theory.
 
 from .store import INIT_WRITER, MVStore, Version
 from .engine import (
-    LOCK_MODES,
     BaseEngine,
     CommitRecord,
     EngineStats,
@@ -53,7 +52,6 @@ __all__ = [
     "Version",
     "INIT_WRITER",
     # engine
-    "LOCK_MODES",
     "BaseEngine",
     "TxContext",
     "TxStatus",

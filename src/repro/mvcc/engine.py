@@ -13,34 +13,33 @@ The engines are single-process and deterministic under caller-decided
 interleaving (directly or through :mod:`repro.mvcc.runtime`'s
 scheduler), so anomaly runs are replayable.
 
-Thread-safety and lock modes.  Every engine runs in one of two modes:
+Thread-safety.  Snapshot reads take **no engine-wide lock**: a
+snapshot timestamp plus the store's immutable version chains are enough
+(SI never blocks readers, and neither do we).  Commit takes the short
+:attr:`BaseEngine.lock` **commit mutex** covering exactly validate +
+install + timestamp allocation; per-session bookkeeping (open sessions,
+tid allocation, abort counters, vacuum pins) lives under its own small
+:attr:`_session_lock`; per-object chain mutations use the store's
+striped locks.  The lock hierarchy is ``commit mutex > session lock >
+store stripes`` — a thread holding a lock may only acquire locks
+strictly to the right, so the engine is deadlock-free by construction.
+The commit mutex is a :class:`CommitMutex`, which wakes waiters rather
+than handing itself to them, so concurrent committers do not fall into
+a lock convoy (see the class).
 
-* ``lock_mode="striped"`` (the default) — the fine-grained fast path.
-  Snapshot reads take **no engine-wide lock**: a snapshot timestamp
-  plus the store's immutable version chains are enough (SI never blocks
-  readers, and neither do we).  Commit takes the short
-  :attr:`BaseEngine.lock` **commit mutex** covering exactly
-  validate + install + timestamp allocation; per-session bookkeeping
-  (open sessions, tid allocation, abort counters, vacuum pins) lives
-  under its own small :attr:`_session_lock`; per-object chain mutations
-  use the store's striped locks.  The lock hierarchy is
-  ``commit mutex > session lock > store stripes`` — a thread holding a
-  lock may only acquire locks strictly to the right, so the engine is
-  deadlock-free by construction.
-* ``lock_mode="global-lock"`` — the compatibility mode: every public
-  operation additionally serialises under :attr:`BaseEngine.lock`, so
-  each operation is one linearizable step exactly as in the original
-  coarse-grained engines.  The deterministic replayable scheduler works
-  identically in both modes (it is single-threaded, so the locks never
-  contend); the mode exists so lock-granularity bugs can be bisected by
-  diffing runs.
+Holding :attr:`BaseEngine.lock` across several calls makes the whole
+group atomic with respect to *commits* (the service layer uses this to
+feed an online monitor in true commit order).  The single remaining
+caller obligation is per-session: a session's transactions must be
+issued sequentially (the engines check this), so give each thread its
+own session.
 
-In both modes, holding :attr:`BaseEngine.lock` across several calls
-makes the whole group atomic with respect to *commits* (the service
-layer uses this to feed an online monitor in true commit order).  The
-single remaining caller obligation is per-session: a session's
-transactions must be issued sequentially (the engines check this), so
-give each thread its own session.
+Snapshots are timestamps.  Under SI and SER (and 2PL) every snapshot is
+a commit-order prefix (the PREFIX axiom, CO ; VIS ⊆ VIS), so a
+:class:`CommitRecord` states its snapshot as ``start_ts`` alone and
+:meth:`BaseEngine.abstract_execution` derives VIS from the timestamps.
+Only PSI, which drops PREFIX, records its snapshot as an explicit set
+of tids (:attr:`CommitRecord.visible_tids`).
 
 Transactions follow the client discipline of Section 5: an aborted
 transaction raises :class:`TransactionAborted` and is expected to be
@@ -54,6 +53,7 @@ import abc
 import enum
 import re
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
@@ -64,18 +64,52 @@ from ..core.histories import History
 from ..core.relations import Relation
 from ..core.transactions import Transaction
 
-LOCK_MODES = ("striped", "global-lock")
-"""The engine locking modes (see the module docstring)."""
 
+class CommitMutex:
+    """A reentrant lock whose release wakes a waiter instead of handing
+    itself over.
 
-class _NoLock:
-    """A no-op reentrant context manager standing in for a lock."""
+    ``threading.RLock`` hands a released lock to a blocked waiter, which
+    owns it before it can run; under one interpreter lock the releaser
+    then blocks at its next commit, and every commit can become a
+    hand-off between threads (a lock convoy).  A waiter here sleeps
+    until a release and tries again; only if overtaken once does it
+    block for the lock itself.
+    """
 
-    def __enter__(self) -> "_NoLock":
-        return self
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        self._released = threading.Condition(threading.Lock())
+        self._sleepers = 0  # waiters that no release has woken yet
+
+    def acquire(self) -> bool:
+        if not self._lock.acquire(blocking=False) and not self._retry():
+            self._lock.acquire()
+        return True
+
+    def _retry(self) -> bool:
+        with self._released:
+            # Counted before the try: a release that misses the count
+            # came before the try.
+            self._sleepers += 1
+            if self._lock.acquire(blocking=False):
+                self._sleepers -= 1
+                return True
+            self._released.wait()
+        return self._lock.acquire(blocking=False)
+
+    def release(self) -> None:
+        self._lock.release()
+        if self._sleepers:
+            with self._released:
+                if self._sleepers:
+                    self._sleepers -= 1
+                    self._released.notify()
+
+    __enter__ = acquire
 
     def __exit__(self, *exc) -> None:
-        return None
+        self.release()
 
 
 class TxStatus(enum.Enum):
@@ -117,7 +151,14 @@ class TxContext:
 
 @dataclass(frozen=True)
 class CommitRecord:
-    """What the engine remembers about a committed transaction."""
+    """What the engine remembers about a committed transaction.
+
+    ``start_ts`` is the snapshot: the transaction saw exactly the
+    commits with ``commit_ts <= start_ts`` (for 2PL, ``commit_ts - 1``,
+    its serialisation point).  PSI snapshots are not commit-order
+    prefixes, so PSI records ``start_ts=-1`` and lists the snapshot in
+    ``visible_tids``; every other engine leaves it ``None``.
+    """
 
     tid: str
     session: str
@@ -125,8 +166,8 @@ class CommitRecord:
     commit_ts: int
     events: Tuple[Op, ...]
     writes: Mapping[Obj, Value]
-    visible_tids: frozenset
-    """The committed transactions included in this one's snapshot."""
+    visible_tids: Optional[frozenset] = None
+    """PSI only: the committed transactions in this one's snapshot."""
 
 
 @dataclass
@@ -154,49 +195,25 @@ class BaseEngine(abc.ABC):
     Args:
         initial: initial object values.
         init_tid: tid of the implied initialisation transaction.
-        lock_mode: ``"striped"`` (fine-grained, the default) or
-            ``"global-lock"`` (every operation under one lock — the
-            original coarse-grained behaviour, kept for bisection).
     """
 
-    def __init__(
-        self,
-        initial: Mapping[Obj, Value],
-        init_tid: str = "t_init",
-        lock_mode: str = "striped",
-    ):
+    def __init__(self, initial: Mapping[Obj, Value], init_tid: str = "t_init"):
         if not initial:
             raise StoreError("engine needs at least one initial object")
-        if lock_mode not in LOCK_MODES:
-            raise StoreError(
-                f"unknown lock_mode {lock_mode!r}; expected one of "
-                f"{LOCK_MODES}"
-            )
         self.initial: Dict[Obj, Value] = dict(initial)
         self.init_tid = init_tid
-        self.lock_mode = lock_mode
         self.stats = EngineStats()
         self.committed: List[CommitRecord] = []
-        self.lock = threading.RLock()
+        self.lock = CommitMutex()
         """The commit mutex: validate + install + timestamp allocation
         happen under it, so commits are totally ordered.  Callers may
         hold it across several calls to group them into one atomic
         action with respect to commits (e.g. commit + monitor
-        notification).  In ``global-lock`` mode every other operation
-        serialises under it too."""
-        if lock_mode == "global-lock":
-            # One lock for everything: session bookkeeping and reads
-            # alias the commit mutex, restoring operation-level global
-            # serialisation.
-            self._session_lock: threading.RLock = self.lock
-            self._read_guard = self.lock
-        else:
-            self._session_lock = threading.RLock()
-            """Small leaf lock for per-session state: open sessions,
-            tid allocation, abort counters, subclass vacuum pins.
-            Never held while acquiring another lock."""
-            self._read_guard = _NoLock()
-            """Snapshot reads are lock-free in striped mode."""
+        notification).  Reentrant."""
+        self._session_lock = threading.RLock()
+        """Small leaf lock for per-session state: open sessions, tid
+        allocation, abort counters, subclass vacuum pins.  Never held
+        while acquiring another lock."""
         self._next_tid = 1
         self._open_sessions: Set[str] = set()
         # Reconstruction cache: committed[i] converted to a Transaction,
@@ -240,12 +257,11 @@ class BaseEngine(abc.ABC):
 
     def write(self, ctx: TxContext, obj: Obj, value: Value) -> None:
         """Buffer a write of ``value`` to ``obj``."""
-        with self._read_guard:
-            ctx.ensure_active()
-            if obj not in self.initial:
-                raise StoreError(f"unknown object {obj!r}")
-            ctx.write_buffer[obj] = value
-            ctx.events.append(write_op(obj, value))
+        ctx.ensure_active()
+        if obj not in self.initial:
+            raise StoreError(f"unknown object {obj!r}")
+        ctx.write_buffer[obj] = value
+        ctx.events.append(write_op(obj, value))
 
     @abc.abstractmethod
     def commit(self, ctx: TxContext) -> CommitRecord:
@@ -400,15 +416,17 @@ class BaseEngine(abc.ABC):
     def abstract_execution(self) -> AbstractExecution:
         """The abstract execution realised by this run.
 
-        VIS edges are the recorded snapshot inclusions (plus the
-        initialisation transaction, visible to everyone); CO follows the
-        engine's commit timestamps.  Built from one consistent
+        VIS edges are the recorded snapshots (plus the initialisation
+        transaction, visible to everyone): the commit-order prefix up to
+        ``start_ts``, or PSI's explicit ``visible_tids``.  CO follows
+        the engine's commit timestamps.  Built from one consistent
         commit-log snapshot, with all Relation construction outside the
         engine lock.
         """
         committed = self._committed_snapshot()
         h = self._history_from(committed)
         records = sorted(committed, key=lambda r: r.commit_ts)
+        commit_ts = [r.commit_ts for r in records]
         by_tid = {t.tid: t for t in h.transactions}
         init = by_tid[self.init_tid]
         vis: Set[Tuple[Transaction, Transaction]] = set()
@@ -416,7 +434,12 @@ class BaseEngine(abc.ABC):
         for rec in records:
             s = by_tid[rec.tid]
             vis.add((init, s))
-            for tid in rec.visible_tids:
+            if rec.visible_tids is None:
+                prefix = records[: bisect_right(commit_ts, rec.start_ts)]
+                visible = (r.tid for r in prefix)
+            else:
+                visible = rec.visible_tids
+            for tid in visible:
                 if tid in by_tid and tid != rec.tid:
                     vis.add((by_tid[tid], s))
         co = Relation.total_order(co_sequence)

@@ -17,12 +17,15 @@ serializability:
 Writes go through the same multi-version store as the other engines (so
 histories/executions are reconstructed identically); reads return the
 latest committed version, which under S2PL is also the version at the
-reader's serialisation point.
+reader's serialisation point.  That point is just before the commit, so
+a commit record's ``start_ts`` is ``commit_ts - 1``: the transaction
+observed every earlier commit, and reconstruction derives VIS from that
+timestamp alone.
 
 Concurrency: the lock table is one shared structure, so it carries its
 own internal mutex (a leaf in the lock hierarchy — taken after the
 commit mutex, never while holding it does the table acquire anything
-else).  Read operations in striped mode touch only the table mutex and
+else).  Read operations touch only the table mutex and
 the store's lock-free ``latest`` — reading the newest version without
 the engine lock is safe precisely because the held S-lock excludes any
 concurrent writer of that object from committing.
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import Dict, Mapping, Optional, Set
+from typing import Dict, Mapping, Set
 
 from ..core.errors import TransactionAborted
 from ..core.events import Obj, Value
@@ -112,20 +115,16 @@ class LockTable:
 class TwoPhaseLockingEngine(BaseEngine):
     """Strict 2PL with no-wait conflict handling — always serializable."""
 
-    def __init__(
-        self,
-        initial: Mapping[Obj, Value],
-        init_tid: str = "t_init",
-        lock_mode: str = "striped",
-    ):
-        super().__init__(initial, init_tid, lock_mode=lock_mode)
+    def __init__(self, initial: Mapping[Obj, Value], init_tid: str = "t_init"):
+        super().__init__(initial, init_tid)
         self.store = MVStore(initial, init_writer=init_tid)
         self.locks = LockTable()
         self._clock = 0
 
     def _make_context(self, session: str, tid: str) -> TxContext:
-        # start_ts records begin time for bookkeeping; reads do not use
-        # it (S2PL reads current committed state under lock).
+        # Reads do not use start_ts (S2PL reads current committed state
+        # under lock); the commit record replaces it with the
+        # serialisation point.
         return TxContext(tid=tid, session=session, start_ts=self._clock)
 
     def read(self, ctx: TxContext, obj: Obj) -> Value:
@@ -133,22 +132,20 @@ class TwoPhaseLockingEngine(BaseEngine):
         (own buffered writes first).  The S-lock pins the version: no
         writer of ``obj`` can commit while it is held, so the lock-free
         ``latest`` is stable."""
-        with self._read_guard:
-            ctx.ensure_active()
-            if obj in ctx.write_buffer:
-                return self._record_read(ctx, obj, ctx.write_buffer[obj])
-            if not self.locks.acquire(ctx.tid, obj, LockMode.SHARED):
-                raise self._lock_failure(ctx, obj, LockMode.SHARED)
-            version = self.store.latest(obj)
-            return self._record_read(ctx, obj, version.value)
+        ctx.ensure_active()
+        if obj in ctx.write_buffer:
+            return self._record_read(ctx, obj, ctx.write_buffer[obj])
+        if not self.locks.acquire(ctx.tid, obj, LockMode.SHARED):
+            raise self._lock_failure(ctx, obj, LockMode.SHARED)
+        version = self.store.latest(obj)
+        return self._record_read(ctx, obj, version.value)
 
     def write(self, ctx: TxContext, obj: Obj, value: Value) -> None:
         """Acquire an exclusive lock, then buffer the write."""
-        with self._read_guard:
-            ctx.ensure_active()
-            if not self.locks.acquire(ctx.tid, obj, LockMode.EXCLUSIVE):
-                raise self._lock_failure(ctx, obj, LockMode.EXCLUSIVE)
-            super().write(ctx, obj, value)
+        ctx.ensure_active()
+        if not self.locks.acquire(ctx.tid, obj, LockMode.EXCLUSIVE):
+            raise self._lock_failure(ctx, obj, LockMode.EXCLUSIVE)
+        super().write(ctx, obj, value)
 
     def commit(self, ctx: TxContext) -> CommitRecord:
         """Install the writes and release all locks (strictness)."""
@@ -161,13 +158,12 @@ class TwoPhaseLockingEngine(BaseEngine):
             record = CommitRecord(
                 tid=ctx.tid,
                 session=ctx.session,
-                start_ts=ctx.start_ts,
+                # Under strict 2PL a committed transaction logically
+                # observed everything that committed before it.
+                start_ts=commit_ts - 1,
                 commit_ts=commit_ts,
                 events=tuple(ctx.events),
                 writes=dict(ctx.write_buffer),
-                # Under strict 2PL a committed transaction logically
-                # observed everything that committed before it.
-                visible_tids=frozenset(rec.tid for rec in self.committed),
             )
             self.locks.release_all(ctx.tid)
             self._finish_commit(ctx, record)

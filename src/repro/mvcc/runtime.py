@@ -20,11 +20,12 @@ driven either by an explicit schedule (a list of session names, with the
 special entry ``"deliver"`` performing one causal delivery on PSI engines)
 or by a seeded PRNG — both fully deterministic and replayable.
 
-The scheduler is single-threaded, so it is oblivious to the engine's
-``lock_mode``: runs are byte-identical whether the engine uses the
-fine-grained striped locking (the default) or the ``"global-lock"``
-compatibility mode (``tests/mvcc/test_lock_modes.py`` asserts this on
-the anomaly reproductions).
+The scheduler is single-threaded, so the engine's locks never contend
+and a run depends only on the schedule.  The snapshots it produces are
+recorded as start timestamps (PSI: as tid sets); the engine turns them
+back into VIS in ``abstract_execution()``, and
+``tests/mvcc/test_snapshot_oracle.py`` checks that against the commits
+each transaction could actually see.
 """
 
 from __future__ import annotations

@@ -24,9 +24,14 @@ satisfy the SI axioms — Theorem 10(ii) then guarantees the extracted
 dependency graphs land in GraphSI, which the test-suite checks on every
 recorded run.
 
-Concurrency.  In striped mode reads are entirely lock-free: the start
-timestamp plus the store's immutable chains pin the snapshot, so a read
-is one binary search.  The commit critical section (the commit mutex)
+The snapshot *is* ``start_ts``: a commit record carries no set of the
+transactions it saw, because they are exactly the commit-order prefix
+up to ``start_ts`` (PREFIX), and reconstruction derives VIS from it.
+Committing therefore costs nothing proportional to the history.
+
+Concurrency.  Reads are entirely lock-free: the start timestamp plus
+the store's immutable chains pin the snapshot, so a read is one binary
+search.  The commit critical section (the commit mutex)
 covers only first-committer-wins validation, the install, and the
 clock bump.  The clock is *published last* — writes are installed at
 ``clock + 1`` and only then does the counter advance — so a concurrent
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..core.errors import SnapshotTooOld, TransactionAborted
+from ..core.errors import SnapshotTooOld
 from ..core.events import Obj, Value
 from .engine import BaseEngine, CommitRecord, TxContext
 from .store import MVStore
@@ -48,13 +53,8 @@ class SIEngine(BaseEngine):
     """Single-node multi-version snapshot isolation with
     first-committer-wins write-conflict detection."""
 
-    def __init__(
-        self,
-        initial: Mapping[Obj, Value],
-        init_tid: str = "t_init",
-        lock_mode: str = "striped",
-    ):
-        super().__init__(initial, init_tid, lock_mode=lock_mode)
+    def __init__(self, initial: Mapping[Obj, Value], init_tid: str = "t_init"):
+        super().__init__(initial, init_tid)
         self.store = MVStore(initial, init_writer=init_tid)
         self._clock = 0
         self._active_start_ts: dict = {}
@@ -75,22 +75,18 @@ class SIEngine(BaseEngine):
     def read(self, ctx: TxContext, obj: Obj) -> Value:
         """Read from the write buffer, else from the start snapshot.
 
-        Lock-free in striped mode (one bisect on the object's immutable
-        chain).  A read that needs a vacuumed version aborts the
-        transaction (snapshot too old); the client retries with a fresh
-        snapshot.
+        Lock-free (one bisect on the object's immutable chain).  A read
+        that needs a vacuumed version aborts the transaction (snapshot
+        too old); the client retries with a fresh snapshot.
         """
-        with self._read_guard:
-            ctx.ensure_active()
-            if obj in ctx.write_buffer:
-                return self._record_read(ctx, obj, ctx.write_buffer[obj])
-            try:
-                version = self.store.read_at(obj, ctx.start_ts)
-            except SnapshotTooOld as exc:
-                raise self._validation_failure(
-                    ctx, f"snapshot too old: {exc}"
-                )
-            return self._record_read(ctx, obj, version.value)
+        ctx.ensure_active()
+        if obj in ctx.write_buffer:
+            return self._record_read(ctx, obj, ctx.write_buffer[obj])
+        try:
+            version = self.store.read_at(obj, ctx.start_ts)
+        except SnapshotTooOld as exc:
+            raise self._validation_failure(ctx, f"snapshot too old: {exc}")
+        return self._record_read(ctx, obj, version.value)
 
     # ------------------------------------------------------------------
     # Garbage collection
@@ -151,7 +147,6 @@ class SIEngine(BaseEngine):
                 commit_ts=commit_ts,
                 events=tuple(ctx.events),
                 writes=dict(ctx.write_buffer),
-                visible_tids=self._visible_tids(ctx.start_ts),
             )
             with self._session_lock:
                 self._active_start_ts.pop(ctx.tid, None)
@@ -170,14 +165,3 @@ class SIEngine(BaseEngine):
         if record.writes:
             self.store.install(record.writes, record.commit_ts, record.tid)
         self._clock = record.commit_ts
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _visible_tids(self, start_ts: int) -> frozenset:
-        """The committed transactions included in a snapshot at
-        ``start_ts`` (all those that committed no later)."""
-        return frozenset(
-            rec.tid for rec in self.committed if rec.commit_ts <= start_ts
-        )

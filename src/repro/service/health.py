@@ -250,11 +250,13 @@ class HealthTracker:
         Always True unless the policy enforces and the state is
         ``shedding``; while shedding, one probe per ``probe_interval``
         is still allowed so the gauges keep moving and recovery is
-        observable.
+        observable.  An observe-only tracker answers without its lock.
         """
+        if not self.policy.enforce:
+            return True
         with self._lock:
             self._evaluate_locked()
-            if not self.policy.enforce or self._level < 2:
+            if self._level < 2:
                 return True
             now = self._clock()
             if now - self._last_probe >= self.policy.probe_interval:

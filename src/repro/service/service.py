@@ -30,13 +30,14 @@ session handles with:
   the end of the service's life;
 * optional **durability**: with ``wal=`` a
   :class:`~repro.wal.log.WriteAheadLog` receives every commit record
-  *off the engine lock*, sequenced by the engine's gapless commit
-  timestamps exactly like the pipelined feed — the log's reorder buffer
-  restores true commit order, so the on-disk log is always a prefix of
-  the commit history and a killed service recovers to a
-  prefix-consistent state via :func:`repro.wal.recovery.recover`.
-  Under ``fsync_policy="always"``/``"group"`` the commit call returns
-  only once its record is durable; a WAL failure is surfaced to the
+  (*off the engine lock* unless nothing waits for it), sequenced by
+  the engine's gapless commit timestamps exactly like the pipelined
+  feed — the log's reorder buffer restores true commit order, so the
+  on-disk log is always a prefix of the commit history and a killed
+  service recovers to a prefix-consistent state via
+  :func:`repro.wal.recovery.recover`.  Under
+  ``fsync_policy="always"``/``"group"`` the commit call returns only
+  once its record is durable; a WAL failure is surfaced to the
   committer *after* the in-memory commit stands (same contract as a
   monitor error);
 * :class:`~repro.service.metrics.ServiceMetrics` counting commits,
@@ -536,9 +537,9 @@ class ServiceSession:
         mode the record is handed to the feed right after the engine
         releases the commit mutex; verdicts land asynchronously in
         ``service.violations`` (the outcome's ``violation`` is None).
-        With an attached write-ahead log the record is appended off the
-        engine lock (before the feed hand-off) — under a durable fsync
-        policy the call returns only once the record is on disk."""
+        With an attached write-ahead log the record is appended before
+        the feed hand-off — under a durable fsync policy off the engine
+        lock, returning only once the record is on disk."""
         ctx = self._open_ctx()
         if self.service.read_only and ctx.write_buffer:
             self._refuse_read_only()
@@ -560,66 +561,84 @@ class ServiceSession:
                 raise TransactionAborted(
                     ctx.tid, f"injected fault at {exc.point}"
                 ) from exc
+        # A commit that waits for nothing after the engine (no pipelined
+        # feed, and no log or one that never waits for the disk) is
+        # logged and counted inside the commit critical section, so
+        # committers contend on that one lock only.  With client
+        # threads sharing one interpreter lock, a thread switched out
+        # while holding a lock of its own (the log's, the metrics' or
+        # the health tracker's) makes later acquisitions hand-offs
+        # between threads (a lock convoy) for as long as it lasts.
+        inline = feed is None and (wal is None or wal.fsync_policy == "none")
         try:
-            if feed is not None:
+            with engine.lock:
                 record = engine.commit(ctx)
-            else:
-                with engine.lock:
-                    record = engine.commit(ctx)
+                if feed is None:
                     try:
                         violation = self.service._observe(record)
                     except Exception as exc:
                         # Monitor misuse must not leak the admission
                         # slot; the commit itself stands.
                         monitor_error = exc
-            # Durability and the monitor feed run off the engine lock:
-            # concurrent committers deposit into the log's reorder
-            # buffer while earlier ones fsync (that is the group-commit
-            # batch), and the feed preserves commit order on its own.
-            if wal is not None and not self.service.read_only:
-                append_started = time.perf_counter()
-                try:
-                    wal.append(record)
-                except Exception as exc:
-                    # The in-memory commit stands; durability failed.
-                    # The policy decides whether the committer sees it
-                    # (fail_stop) or the service degrades (read_only).
-                    if not self.service._note_wal_failure(exc):
-                        if monitor_error is None:
-                            monitor_error = exc
-                else:
-                    append_latency = (
-                        time.perf_counter() - append_started
-                    )
-                    self.service.metrics.record_wal_append_latency(
-                        append_latency
-                    )
-                    self.service.health.note_wal_latency(append_latency)
-            if feed is not None:
-                try:
-                    feed.submit(record)
-                except Exception as exc:
-                    # Feed closed, or a prior observer error resurfacing
-                    # — the commit itself stands.
-                    if monitor_error is None:
-                        monitor_error = exc
+                if inline:
+                    error = self._finish(record, None)
+            # Otherwise durability and the monitor feed run off the
+            # engine lock: concurrent committers deposit into the log's
+            # reorder buffer while earlier ones fsync (that is the
+            # group-commit batch), and the feed preserves commit order
+            # on its own.
+            if not inline:
+                error = self._finish(record, feed)
         except TransactionAborted:
             self._finish_aborted()
             raise
-        latency = time.perf_counter() - (
-            self._txn_started or time.perf_counter()
-        )
         outcome = TxOutcome(
             record=record, attempts=self._attempts, violation=violation
         )
         self._ctx = None
         self._reset_logical()
         self.service._release()
-        self.service.metrics.record_commit(latency)
-        self.service.health.note_attempt(aborted=False)
         if monitor_error is not None:
             raise monitor_error
+        if error is not None:
+            raise error
         return outcome
+
+    def _finish(
+        self, record: CommitRecord, feed: Optional[PipelinedMonitorFeed]
+    ) -> Optional[BaseException]:
+        """Log ``record`` (unless read-only), hand it to ``feed`` and
+        count the commit; returns the first failure to surface."""
+        error: Optional[BaseException] = None
+        wal = self.service.wal
+        append_latency: Optional[float] = None
+        if wal is not None and not self.service.read_only:
+            started = time.perf_counter()
+            try:
+                wal.append(record)
+            except Exception as exc:
+                # Durability failed.  The policy decides whether the
+                # committer sees it (fail_stop) or the service degrades
+                # (read_only).
+                if not self.service._note_wal_failure(exc):
+                    error = exc
+            else:
+                append_latency = time.perf_counter() - started
+        if feed is not None:
+            try:
+                feed.submit(record)
+            except Exception as exc:
+                # Feed closed, or a prior observer error resurfacing.
+                error = error or exc
+        metrics, health = self.service.metrics, self.service.health
+        metrics.record_commit(
+            time.perf_counter() - (self._txn_started or time.perf_counter())
+        )
+        if append_latency is not None:
+            metrics.record_wal_append_latency(append_latency)
+            health.note_wal_latency(append_latency)
+        health.note_attempt(aborted=False)
+        return error
 
     def abort(self, reason: str = "client abort") -> None:
         """Deliberately abort the open transaction (no retry implied)."""

@@ -18,7 +18,11 @@ segments and a surviving suffix still recovers.  Every later frame is
 one **commit** payload: a :class:`~repro.mvcc.engine.CommitRecord`
 serialised with the type-preserving value codecs of
 :mod:`repro.io.json_format` (tuples — the service's tagged values —
-survive the round trip bit-identically).
+survive the round trip bit-identically).  A commit payload carries a
+``"visible"`` tid list only when the record has one (PSI); SI, SER and
+2PL snapshots are their ``start_ts``, so their payloads do not grow
+with the history.  Segments whose SI/SER/2PL payloads still list
+``"visible"`` decode unchanged, set included.
 
 The framing is what makes recovery torn-tail tolerant: a crash mid
 ``write`` leaves a frame whose header promises more bytes than exist or
@@ -178,7 +182,7 @@ def meta_to_payload(
 
 def commit_record_to_payload(record: CommitRecord) -> bytes:
     """Serialise one commit record frame payload."""
-    return _dump({
+    doc = {
         "kind": "commit",
         "tid": record.tid,
         "session": record.session,
@@ -189,8 +193,10 @@ def commit_record_to_payload(record: CommitRecord) -> bytes:
             str(obj): value_to_wire(value)
             for obj, value in record.writes.items()
         },
-        "visible": sorted(record.visible_tids),
-    })
+    }
+    if record.visible_tids is not None:
+        doc["visible"] = sorted(record.visible_tids)
+    return _dump(doc)
 
 
 def _dump(doc: Dict[str, Any]) -> bytes:
@@ -248,6 +254,7 @@ def commit_record_from_doc(doc: Mapping[str, Any]) -> CommitRecord:
         raise FormatError(
             f"expected a commit frame, got {doc.get('kind')!r}"
         )
+    visible = doc.get("visible")
     try:
         return CommitRecord(
             tid=doc["tid"],
@@ -259,7 +266,7 @@ def commit_record_from_doc(doc: Mapping[str, Any]) -> CommitRecord:
                 obj: value_from_wire(value)
                 for obj, value in dict(doc["writes"]).items()
             },
-            visible_tids=frozenset(doc["visible"]),
+            visible_tids=None if visible is None else frozenset(visible),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed commit frame: {exc!r}")

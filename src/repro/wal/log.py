@@ -37,8 +37,9 @@ it, and syncs once — so N concurrent committers share one ``fsync``:
   beyond the last OS write-back.
 
 ``flush_interval`` bounds how long a deposited frame can sit unwritten
-when no appender is pushing the flusher (relevant under ``"none"``,
-where nobody waits): the flusher wakes at least that often.
+when no appender is pushing the flusher: the flusher wakes at least
+that often.  Under ``"none"``, where nobody waits, appenders never push
+it: frames are written at that interval and at ``flush()``/``close()``.
 
 Failure model.  An I/O error poisons the log: every waiting and
 subsequent ``append``/``flush``/``close`` raises a fresh
@@ -317,7 +318,10 @@ class WriteAheadLog:
                 self.stats.bytes_written += len(frame)
                 if self.metrics is not None:
                     self.metrics.record_wal_append(len(frame))
-                if self._promote_locked():
+                # Under "none" nobody waits for the frame: the flusher
+                # writes it within `flush_interval` (or at flush()/
+                # close()) instead of waking once per commit.
+                if self._promote_locked() and self.fsync_policy != "none":
                     self._io_cond.notify()  # wake/feed the flusher
                 if self.fsync_policy == "none":
                     return
@@ -562,6 +566,7 @@ class WriteAheadLog:
         (re-raising a captured error).  Frames stuck behind a sequence
         gap stay pending — see :attr:`pending_gap`."""
         with self._lock:
+            self._io_cond.notify()  # "none" deposits do not wake it
             done = self._durable_cond.wait_for(
                 lambda: (
                     self._error is not None

@@ -73,7 +73,7 @@ def random_plan(seed: int) -> FaultPlan:
 def storm_then_crash(tmp_path, engine_key: str, seed: int):
     """Run a storm against a full stack, then abandon it mid-life."""
     mix = MIXES["smallbank"]()
-    engine, model = _build_engine(engine_key, dict(mix.initial), "striped")
+    engine, model = _build_engine(engine_key, dict(mix.initial))
     wal = WriteAheadLog(
         str(tmp_path / "wal"),
         fsync_policy="group",

@@ -3,6 +3,7 @@ concurrency, and close semantics."""
 
 import os
 import threading
+import time
 
 import pytest
 
@@ -112,6 +113,26 @@ class TestPolicies:
             log.flush()
         assert log.stats.fsyncs == 0
         assert [r.commit_ts for r in scan(log.directory)] == [1, 2, 3, 4, 5]
+
+    def test_none_appends_do_not_wake_the_flusher(self, tmp_path):
+        # Nobody waits under "none": queued frames are written at the
+        # flusher's interval or by flush()/close(), not one flusher
+        # cycle per append.
+        log = make_log(tmp_path, fsync_policy="none", flush_interval=5.0)
+        try:
+            for ts in range(1, 6):
+                log.append(make_record(ts))
+            time.sleep(0.2)  # ample time for a woken flusher to write
+            assert log.stats.flushes == 0
+            started = time.monotonic()
+            log.flush()  # must not wait for the 5s interval
+            assert time.monotonic() - started < 2.5
+            assert log.stats.flushes == 1
+            assert [r.commit_ts for r in scan(log.directory)] == [
+                1, 2, 3, 4, 5
+            ]
+        finally:
+            log.close()
 
 
 class TestRotationAndRetention:

@@ -105,6 +105,47 @@ class TestRoundTrip:
         assert execution.history == engine.history()
 
 
+class TestAppendPlacement:
+    @pytest.mark.parametrize(
+        "fsync_policy, inside", [("none", True), ("group", False)]
+    )
+    def test_log_that_never_waits_is_appended_under_commit_mutex(
+        self, tmp_path, fsync_policy, inside
+    ):
+        # A log that never waits is part of the commit critical section
+        # (frames arrive in commit order; committers contend on one
+        # lock); a durable one is appended after the mutex is released
+        # so committers can deposit while earlier ones wait for fsync.
+        engine = SIEngine({"x": 0})
+        wal = WriteAheadLog(
+            str(tmp_path / "wal"), fsync_policy=fsync_policy,
+            flush_interval=0.01,
+            meta={"engine": "SI", "init": {"x": 0},
+                  "init_tid": engine.init_tid, "model": "SI"},
+        )
+        held = []
+        append = wal.append
+
+        def watched(record):
+            held.append(engine.lock._lock._is_owned())
+            append(record)
+
+        wal.append = watched
+
+        def bump():
+            value = yield ReadOp("x")
+            yield WriteOp("x", value + 1)
+
+        with TransactionService(engine, wal=wal) as service:
+            session = service.session()
+            for _ in range(3):
+                session.run(bump)
+            assert service.metrics.commits == 3
+            assert service.metrics.wal_append_latency.count == 3
+        assert held == [inside] * 3
+        assert recover(wal.directory).records_recovered == 3
+
+
 class TestAuditParity:
     @pytest.mark.parametrize("engine_key", sorted(ENGINES))
     def test_offline_audit_matches_live_monitor(self, tmp_path,
