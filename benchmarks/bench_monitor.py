@@ -8,11 +8,15 @@ match the offline oracle on engine runs.  E24 sweeps commit counts to
 demonstrate the asymptotic win of the incremental certification core
 (dynamic topological order, ``checker="incremental"``) over the
 per-commit full rebuild (``checker="rebuild"``), writing the
-machine-readable ``BENCH_monitor_scaling.json`` record CI tracks.  Cap
-the sweep with ``E24_MAX_COMMITS`` (CI smoke sets a small value).
+machine-readable ``BENCH_monitor_scaling.json`` record CI tracks.  Its
+window sweep times a ``WindowedMonitor`` per commit on one fixed seeded
+SmallBank stream at windows 64 → 4096 and records the retained edges
+per kind.  Cap both sweeps with ``E24_MAX_COMMITS`` (CI smoke sets a
+small value; the window sweep then keeps the windows at or below it).
 """
 
 import os
+import random
 import time
 
 import pytest
@@ -25,6 +29,7 @@ from repro.mvcc.workloads import (
     random_workload,
     write_skew_sessions,
 )
+from repro.service import TransactionService, smallbank_mix
 
 from helpers import bool_mark, print_table, write_bench_json
 
@@ -223,6 +228,66 @@ def timed_feed(checker, model, initial, events):
     return time.perf_counter() - started
 
 
+#: The window sweep: windows, stream length, and how many of the
+#: stream's last commits are timed (all of them with a full window).
+E24_WINDOWS = (64, 256, 1024, 4096)
+E24_SWEEP_RECORDS = 6000
+E24_SWEEP_TIMED = 1000
+
+
+def smallbank_stream(records, seed=1, sessions=8):
+    """A fixed seeded SmallBank commit stream: ``records`` transactions
+    run single-threaded on an SI engine by ``sessions`` round-robin
+    sessions (value-tagged, so every read is attributable)."""
+    mix = smallbank_mix(customers=64)
+    engine = SIEngine(dict(mix.initial))
+    rng = random.Random(seed)
+    with TransactionService(engine) as service:
+        handles = [service.session(f"s{i}") for i in range(sessions)]
+        for k in range(records):
+            handles[k % sessions].run(mix.next_program(rng))
+    events = [
+        (r.tid, r.session, list(r.events))
+        for r in sorted(engine.committed, key=lambda r: r.commit_ts)
+    ]
+    assert len(events) == records
+    return mix.initial, events
+
+
+def window_sweep(cap):
+    """Per-commit SI monitor cost and retained edges against the window.
+
+    Gates on structure only: the monitor keeps one SO edge per retained
+    transaction at most (from its session's previous one) and one WW
+    edge per retained write at most (from the object's previous writer).
+    """
+    windows = [w for w in E24_WINDOWS if cap is None or w <= cap] or [64]
+    initial, events = smallbank_stream(E24_SWEEP_RECORDS)
+    untimed, timed = events[:-E24_SWEEP_TIMED], events[-E24_SWEEP_TIMED:]
+    sweep = []
+    for window in windows:
+        monitor = feed(WindowedMonitor(window, "SI", dict(initial)), untimed)
+        started = time.perf_counter()
+        feed(monitor, timed)
+        elapsed = time.perf_counter() - started
+        edges = monitor.dependency_edges()
+        writes = sum(
+            len({op.obj for op in ops if op.is_write})
+            for _, _, ops in events[-window:]
+        )
+        row = {
+            "window": window,
+            "us_per_commit": round(elapsed / len(timed) * 1e6, 1),
+            "retained_nodes": monitor.retained_count,
+            "retained_writes": writes,
+            "retained_edges": {kind: len(p) for kind, p in edges.items()},
+        }
+        assert row["retained_edges"]["SO"] <= row["retained_nodes"], row
+        assert row["retained_edges"]["WW"] <= writes, row
+        sweep.append(row)
+    return sweep
+
+
 def test_bench_incremental_scaling():
     """E24: the incremental checker beats the rebuild checker with a
     widening gap as the commit count grows (≥5x at the largest default
@@ -261,11 +326,27 @@ def test_bench_incremental_scaling():
         ["model", "commits", "rebuild", "incremental", "speedup"],
         rows,
     )
+    sizes = {m: [s["commits"] for s in results[m]] for m in results}
+    sweep = window_sweep(cap)
+    print_table(
+        f"E24 — SI monitor cost per commit against the window "
+        f"(SmallBank, last {E24_SWEEP_TIMED} of {E24_SWEEP_RECORDS} commits)",
+        ["window", "us/commit", "nodes", "writes", "SO", "WR", "WW", "RW"],
+        [
+            (row["window"], row["us_per_commit"], row["retained_nodes"],
+             row["retained_writes"], *row["retained_edges"].values())
+            for row in sweep
+        ],
+    )
+    results["window_sweep"] = sweep
     path = write_bench_json(
         "monitor_scaling",
         params={
-            "sizes": {m: [s["commits"] for s in results[m]] for m in results},
+            "sizes": sizes,
             "session_span": 4,
+            "windows": [row["window"] for row in sweep],
+            "sweep_records": E24_SWEEP_RECORDS,
+            "sweep_timed": E24_SWEEP_TIMED,
             "capped": cap is not None,
         },
         results=results,

@@ -9,11 +9,12 @@ implementation internals like snapshot timestamps.
 :class:`ConsistencyMonitor` does exactly that.  It observes commits in
 commit order, incrementally maintains the dependency graph —
 
+* **SO** and **WW** as covering pairs: one edge from the session's
+  previous transaction, and one from the object's previous writer in
+  the observed commit order (Definition 5 with CO = real commit order);
 * **WR** by attributing each external read to the writer of the value
-  (the monitor tracks, per object, which committed transaction wrote each
-  value; ambiguous duplicate values are rejected in strict mode);
-* **WW** as the observed commit order restricted to each object's writers
-  (Definition 5 with CO = real commit order);
+  (per object, which committed transaction wrote each value; ambiguous
+  duplicates are rejected in strict mode);
 * **RW** derived incrementally: when ``T`` overwrites a version, every
   earlier reader of that object (found through a per-object readers
   index) gains an anti-dependency to ``T``; when ``T`` reads a version
@@ -21,27 +22,28 @@ commit order, incrementally maintains the dependency graph —
   overwriters —
 
 and after every commit re-checks the model's graph condition
-(Theorem 9 for SI, Theorem 8 for SER, Theorem 21 for PSI).  On a
-violation it reports the offending cycle, and the monitor keeps the full
-graph so post-mortem extraction is possible.
+(Theorem 9 for SI, Theorem 8 for SER, Theorem 21 for PSI), reporting
+the offending cycle on a violation.  SO and each object's WW are total
+orders, so the stored ``D′`` lies in the paper's ``D = SO ∪ WR ∪ WW``
+and has the same transitive closure: every cycle of ``D ; RW?`` (or
+``D ∪ RW``, ``D⁺ ; RW?``) maps to one over ``D′`` and back.  The
+verdicts are the paper's, but a witness may run through the
+intermediate transactions of a session or of an object's write order.
+RW is not reduced (:mod:`repro.monitor.windowed` says why).
 
 The edges live in one labelled store owned by the certification
-back-end (:class:`~repro.monitor.incremental.EdgeStore`).  Two back-ends
-are available via the ``checker`` knob:
+back-end (:class:`~repro.monitor.incremental.EdgeStore`), chosen by the
+``checker`` knob:
 
-* ``"incremental"`` (the default) maintains the model's composed
-  relation as a DAG under a dynamic topological order
-  (:mod:`repro.monitor.incremental`), so each commit costs work
-  proportional to its own edge deltas' affected region — near-amortised
-  constant in the common no-violation case.  A cycle-closing edge is
-  reported and dropped from certification (the store still lists it),
-  so certification continues on the still-acyclic remainder: each
-  violation is flagged once, at the commit that closes it.
-* ``"rebuild"`` re-derives every relation and re-runs the full cycle
-  test on each commit — ``O(V+E)`` per commit for SI/SER and a full
-  transitive closure for PSI.  It is kept as the differential-testing
-  oracle (``tests/monitor/test_parity.py``); once a cycle exists it is
-  re-flagged at every subsequent commit.
+* ``"incremental"`` (the default) certifies each commit's edge deltas
+  under a dynamic topological order (:mod:`repro.monitor.incremental`).
+  A cycle-closing edge is reported and dropped from certification (the
+  store still lists it), so each violation is flagged once, at the
+  commit that closes it.
+* ``"rebuild"`` re-derives the whole condition on each commit —
+  ``O(V+E)`` for SI/SER, a transitive closure for PSI — and is the
+  differential-testing oracle (``tests/monitor/test_parity.py``); once
+  a cycle exists it is re-flagged at every subsequent commit.
 
 For sustained production load use
 :class:`~repro.monitor.windowed.WindowedMonitor`, which garbage-collects
@@ -134,7 +136,8 @@ class ConsistencyMonitor:
         self.init_tid = init_tid
         self._records: Dict[str, _TxnRecord] = {}
         self._commit_order: Deque[str] = deque()
-        self._sessions: Dict[str, List[str]] = {}
+        # Per session: its last retained transaction.
+        self._sessions: Dict[str, str] = {}
         # Per object: the committed writer sequence and value attribution.
         self._writers: Dict[Obj, List[str]] = {}
         self._value_writer: Dict[Obj, Dict[Value, str]] = {}
@@ -176,10 +179,12 @@ class ConsistencyMonitor:
         deps: List[LabelledEdge] = []
         rws: List[Edge] = []
 
-        # SO: edges from every earlier transaction of the session.
-        earlier = self._sessions.setdefault(session, [])
-        deps.extend((prev, tid, SO) for prev in earlier)
-        earlier.append(tid)
+        # SO: one edge from the session's previous retained transaction
+        # (the covering pair; the chain of them closes to the full SO).
+        prev = self._sessions.get(session)
+        if prev is not None:
+            deps.append((prev, tid, SO))
+        self._sessions[session] = tid
 
         # WR and RW-out: attribute external reads to writers.
         for obj in sorted(txn.external_read_objects):
@@ -197,14 +202,13 @@ class ConsistencyMonitor:
             )
 
         # WW and RW-in for writes: this transaction overwrites the
-        # current last version of each object it writes.
+        # current last version of each object it writes.  WW is one edge
+        # from that version's writer (the covering pair of the object's
+        # write order), when the writer is a node of the graph.
         for obj in sorted(txn.written_objects):
             seq = self._writers.setdefault(obj, [])
-            deps.extend(
-                (prev, tid, WW)
-                for prev in seq
-                if prev != tid and self._in_graph(prev)
-            )
+            if seq and self._in_graph(seq[-1]):
+                deps.append((seq[-1], tid, WW))
             # Earlier readers of obj gain RW edges to tid (the readers
             # index makes this O(readers-of-obj), not O(total reads)).
             rws.extend(
@@ -288,6 +292,8 @@ class ConsistencyMonitor:
     def dependency_edges(self) -> Dict[str, Set[Edge]]:
         """The accumulated dependency edges (over tids), for inspection.
 
+        SO and WW hold covering pairs only, so the listed ``SO ∪ WR ∪
+        WW`` is ``D′``, whose transitive closure is the paper's ``D``.
         A cycle-closing edge the incremental checker dropped from
         certification is still listed.
         """

@@ -1,46 +1,47 @@
 """Windowed online monitoring: bounded-cost certification under load.
 
 :class:`~repro.monitor.online.ConsistencyMonitor` keeps the full
-dependency graph forever, so its per-commit check grows linearly with
-run length — fine for replaying a bench, unusable against a service
-that commits millions of transactions.  :class:`WindowedMonitor` keeps
-only the last ``window`` committed transactions as graph nodes and
-garbage-collects everything older, which bounds both memory and the
-per-commit cycle test by the window size.
+dependency graph forever, so its per-commit check grows with run
+length — unusable against a service that commits millions of
+transactions.  :class:`WindowedMonitor` keeps only the last ``window``
+committed transactions as graph nodes and garbage-collects everything
+older, which bounds memory and the per-commit check by the window.
 
-Garbage collection is *sound within the window*: eviction only removes
-nodes older than the window together with their incident edges, and
-never touches an edge between two retained transactions.  Hence any
-violating cycle whose transactions all lie within one window is still
-detected, at the same commit as the full monitor would flag
-(``tests/monitor/test_windowed.py`` proves this against the full
-monitor on adversarial streams).  The price is cycles *spanning* more
-than a window: a cycle involving a transaction evicted before the
-cycle closes is missed, so the window must be chosen larger than the
-anomaly horizon of interest (for the MVCC engines: the maximum number
-of commits overlapping any transaction's lifetime).
+Garbage collection is *sound within the window*: eviction removes only
+nodes older than the window with their incident edges, so a violating
+cycle whose transactions all lie within one window is still detected,
+at the same commit as the full monitor would flag
+(``tests/monitor/test_windowed.py``).  A cycle involving a transaction
+evicted before the cycle closes is missed, so the window must exceed
+the anomaly horizon of interest (for the MVCC engines: the most
+commits overlapping any transaction's lifetime).
 
-Eviction is also local: evicting a transaction walks only its own
-adjacency in the checker's edge store (and, for SI, the composed edges
-it witnesses as a middle node), then its own entries in the per-object
-reader and writer indexes.  One eviction costs O(degree), not
-O(retained edges).
+Storing SO and WW as covering pairs (:mod:`repro.monitor.online`) stays
+sound: eviction follows commit order, so the intermediates of a chain
+between two retained transactions, which committed between them, are
+retained too, and every retained pair of the paper's ``SO ∪ WR ∪ WW``
+stays joined by stored edges.  A session's last retained transaction is
+forgotten when it is evicted, so no edge leaves an evicted node.  RW is
+not reduced: a stale reader's edges to overwriters ``w1 < w2`` cannot
+be replaced by ``reader -> w1`` and the WW chain, because ``w1`` may
+precede the reader and be evicted first, taking that path with it.
 
-Version attribution survives eviction: the per-object value table
-keeps the attribution of each object's *current* version even when its
-writer has been evicted (a later reader of that version is then placed
-after the eviction frontier — it gains anti-dependencies to all
-retained overwriters, but no WR edge to the dead node).  A *superseded*
-version's attribution is kept until the transaction that overwrote it
-is itself evicted: what bounds a read's staleness is how long ago the
-version was *overwritten*, not how long ago it was written (an
-in-flight snapshot can legitimately return a version whose writer left
-the window long ago, as long as the overwrite is recent).  Only once
-the overwriter has also aged out of the window is the attribution
-dropped; in strict mode a read of such a version is reported as
-unattributable rather than silently misclassified.  Retained stale
-attributions are bounded by the number of in-window overwrites, so
-memory stays O(window + objects).
+Eviction is also local: it walks only the evicted transaction's own
+adjacency in the checker's edge store (for SI, also the composed edges
+it witnesses as a middle node) and its own reader and writer index
+entries — O(degree), not O(retained edges).
+
+Version attribution survives eviction: the value table keeps each
+object's *current* version attributed even when its writer has been
+evicted (a later reader of it gains anti-dependencies to all retained
+overwriters, but no WR edge to the dead node).  A *superseded*
+version's attribution is kept until its overwriter is itself evicted:
+a read's staleness is bounded by how long ago the version was
+*overwritten*, not written (an in-flight snapshot can return a version
+whose writer left the window long ago).  After that, strict mode
+reports a read of the version as unattributable rather than
+misclassifying it.  Retained stale attributions are bounded by the
+in-window overwrites, so memory stays O(window + objects).
 """
 
 from __future__ import annotations
@@ -153,12 +154,8 @@ class WindowedMonitor(ConsistencyMonitor):
         self._evicted.add(old)
         self.evicted_count += 1
         self._checker.remove_node(old)
-        session_tids = self._sessions.get(record.session)
-        if session_tids is not None:
-            if old in session_tids:
-                session_tids.remove(old)
-            if not session_tids:
-                del self._sessions[record.session]
+        if self._sessions.get(record.session) == old:
+            del self._sessions[record.session]
         for obj in record.txn.external_read_objects:
             readers = self._readers.get(obj)
             if readers is not None:
