@@ -14,17 +14,31 @@ group-commit throughput must be >= 3x the per-record-fsync policy at
 
 ``E26_MAX_SECONDS`` caps the sweep for CI smoke runs; the gate cells
 (``always`` and ``group`` at 4 workers) always run.
+
+E26c times the commit-payload codec on the records of a seeded SmallBank
+SI run: encode and decode microseconds per record and payload bytes per
+record.  It gates only on structure (every record round-trips equal and
+no payload carries a ``"writes"`` map): codec timings follow the
+machine's speed, so they are recorded, not gated.
 """
 
 import os
+import random
 import shutil
 import tempfile
 import threading
 import time
 
 from repro.core.events import write as write_op
+from repro.mvcc import SIEngine
 from repro.mvcc.engine import CommitRecord
+from repro.service import TransactionService, smallbank_mix
 from repro.wal import WriteAheadLog, recover
+from repro.wal.format import (
+    commit_record_from_doc,
+    commit_record_to_payload,
+    payload_to_doc,
+)
 
 from helpers import print_table, write_bench_json
 
@@ -34,6 +48,9 @@ E26_REPEATS = 5  # interleaved repeats; paired ratios damp disk jitter
 E26_RECOVERY_SIZES = (500, 2000, 8000)
 E26_META = {"engine": "SI", "init": {"x": 0}, "init_tid": "t_init",
             "model": "SI"}
+E26_CODEC_RECORDS = 2000
+E26_CODEC_SESSIONS = 8
+E26_CODEC_REPEATS = 7  # best of, per direction
 
 
 def _record(ts):
@@ -155,6 +172,73 @@ def test_bench_wal_group_commit():
     test_bench_wal_group_commit.results = results
 
 
+def smallbank_records(seed=1, count=E26_CODEC_RECORDS):
+    """The commit records of a seeded single-threaded SmallBank SI run
+    (64 customers, round-robin sessions)."""
+    mix = smallbank_mix(customers=64)
+    engine = SIEngine(mix.initial)
+    rng = random.Random(seed)
+    with TransactionService(engine) as service:
+        sessions = [
+            service.session(f"s{i}") for i in range(E26_CODEC_SESSIONS)
+        ]
+        for k in range(count):
+            sessions[k % E26_CODEC_SESSIONS].run(mix.next_program(rng))
+    return list(engine.committed)
+
+
+def codec_costs(records, repeats=E26_CODEC_REPEATS):
+    """Best-of-``repeats`` encode and decode microseconds per record,
+    and mean payload bytes per record."""
+
+    def best(fn, items):
+        times = []
+        for _ in range(repeats):
+            started = time.perf_counter()
+            for item in items:
+                fn(item)
+            times.append(time.perf_counter() - started)
+        return min(times) * 1e6 / len(items)
+
+    payloads = [commit_record_to_payload(r) for r in records]
+    return {
+        "records": len(records),
+        "encode_us_per_record": round(
+            best(commit_record_to_payload, records), 2
+        ),
+        "decode_us_per_record": round(
+            best(lambda p: commit_record_from_doc(payload_to_doc(p)),
+                 payloads),
+            2,
+        ),
+        "bytes_per_record": round(
+            sum(map(len, payloads)) / len(payloads), 1
+        ),
+    }
+
+
+def test_bench_wal_codec():
+    """E26c: commit-payload encode/decode cost and size."""
+    records = smallbank_records()
+    assert len(records) == E26_CODEC_RECORDS
+    for record in records:
+        doc = payload_to_doc(commit_record_to_payload(record))
+        assert "writes" not in doc
+        assert commit_record_from_doc(doc) == record
+    results = codec_costs(records)
+    print_table(
+        f"E26c — commit payload codec ({len(records)} seeded SmallBank "
+        f"SI records, best of {E26_CODEC_REPEATS})",
+        ["encode us/record", "decode us/record", "bytes/record"],
+        [(
+            results["encode_us_per_record"],
+            results["decode_us_per_record"],
+            results["bytes_per_record"],
+        )],
+    )
+    test_bench_wal_codec.results = results
+
+
 def test_bench_wal_recovery():
     """E26b: recovery replays the log at a rate that scales linearly."""
     budget = float(os.environ.get("E26_MAX_SECONDS", "0")) or None
@@ -202,6 +286,7 @@ def test_bench_wal_recovery():
         print(f"E26b: time budget dropped sizes: {dropped}")
 
     group_results = getattr(test_bench_wal_group_commit, "results", {})
+    codec_results = getattr(test_bench_wal_codec, "results", {})
     path = write_bench_json(
         "wal",
         params={
@@ -211,6 +296,10 @@ def test_bench_wal_recovery():
             "max_seconds": budget,
             "dropped_recovery_sizes": dropped,
         },
-        results={"append": group_results, "recovery": recovery},
+        results={
+            "append": group_results,
+            "codec": codec_results,
+            "recovery": recovery,
+        },
     )
     print(f"bench record written to {path}")

@@ -154,19 +154,24 @@ def value_to_wire(value: Any) -> Any:
 def value_from_wire(data: Any) -> Any:
     """Inverse of :func:`value_to_wire`."""
     if isinstance(data, dict):
-        if set(data) == {"t"}:
-            return tuple(value_from_wire(v) for v in data["t"])
-        if set(data) == {"l"}:
-            return [value_from_wire(v) for v in data["l"]]
-        if set(data) == {"d"}:
-            return {k: value_from_wire(v) for k, v in data["d"].items()}
+        if len(data) == 1:
+            if "t" in data:
+                return tuple([value_from_wire(v) for v in data["t"]])
+            if "l" in data:
+                return [value_from_wire(v) for v in data["l"]]
+            if "d" in data:
+                return {k: value_from_wire(v) for k, v in data["d"].items()}
         raise FormatError(f"malformed wire value: {data!r}")
     return data
 
 
+_KIND_TO_WIRE = {kind: kind.value for kind in OpKind}
+_KIND_FROM_WIRE = {kind.value: kind for kind in OpKind}
+
+
 def op_to_wire(op: Op) -> List[Any]:
     """Like :func:`op_to_json` but with a type-preserving value."""
-    return [op.kind.value, op.obj, value_to_wire(op.value)]
+    return [_KIND_TO_WIRE[op.kind], op.obj, value_to_wire(op.value)]
 
 
 def op_from_wire(data: Any) -> Op:
@@ -175,12 +180,10 @@ def op_from_wire(data: Any) -> Op:
         kind, obj, value = data
     except (TypeError, ValueError):
         raise FormatError(f"operation must be [kind, obj, value]: {data!r}")
-    value = value_from_wire(value)
-    if kind == OpKind.READ.value:
-        return read_op(obj, value)
-    if kind == OpKind.WRITE.value:
-        return write_op(obj, value)
-    raise FormatError(f"unknown operation kind {kind!r}")
+    op_kind = _KIND_FROM_WIRE.get(kind) if isinstance(kind, str) else None
+    if op_kind is None:
+        raise FormatError(f"unknown operation kind {kind!r}")
+    return Op(op_kind, obj, value_from_wire(value))
 
 
 # ----------------------------------------------------------------------

@@ -58,10 +58,12 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ReproError
-from ..core.events import Obj, Op, Value
-from ..core.transactions import Transaction
+from ..core.events import Obj, Op, OpKind, Value
 from ..mvcc.engine import BaseEngine
 from .incremental import SO, WR, WW, Edge, LabelledEdge, make_checker
+
+
+_WRITE = OpKind.WRITE
 
 
 class MonitorError(ReproError):
@@ -90,8 +92,30 @@ class Violation:
 
 @dataclass
 class _TxnRecord:
-    txn: Transaction
+    """What eviction needs of a retained commit."""
+
     session: str
+    read_objects: Tuple[Obj, ...]
+    written_objects: Tuple[Obj, ...]
+
+
+def summarise(
+    events: Sequence[Op],
+) -> Tuple[Dict[Obj, Value], Dict[Obj, Value]]:
+    """A transaction's §2 judgements, in one pass over its events.
+
+    Returns ``(reads, writes)``: ``reads[x] = n`` iff ``T ⊢ read(x, n)``
+    (the first access to ``x`` is a read of ``n``) and ``writes[x] = n``
+    iff ``T ⊢ write(x, n)`` (the last write to ``x`` writes ``n``).
+    """
+    reads: Dict[Obj, Value] = {}
+    writes: Dict[Obj, Value] = {}
+    for op in events:
+        if op.kind is _WRITE:
+            writes[op.obj] = op.value
+        elif op.obj not in writes and op.obj not in reads:
+            reads[op.obj] = op.value
+    return reads, writes
 
 
 class ConsistencyMonitor:
@@ -171,8 +195,13 @@ class ConsistencyMonitor:
         """
         if tid in self._records:
             raise MonitorError(f"transaction {tid!r} observed twice")
-        txn = _make_transaction(tid, events)
-        self._records[tid] = _TxnRecord(txn, session)
+        if not events:
+            raise ValueError(f"transaction {tid!r} must be non-empty")
+        reads, writes = summarise(events)
+        record = _TxnRecord(
+            session, tuple(sorted(reads)), tuple(sorted(writes))
+        )
+        self._records[tid] = record
         self._commit_order.append(tid)
         self._checker.add_node(tid)
         # This commit's edges; the checker's store drops duplicates.
@@ -187,9 +216,8 @@ class ConsistencyMonitor:
         self._sessions[session] = tid
 
         # WR and RW-out: attribute external reads to writers.
-        for obj in sorted(txn.external_read_objects):
-            value = txn.external_read(obj)
-            writer = self._attribute_read(tid, obj, value)
+        for obj in record.read_objects:
+            writer = self._attribute_read(tid, obj, reads[obj])
             self._readers.setdefault(obj, {})[tid] = writer
             if writer != tid and self._in_graph(writer):
                 deps.append((writer, tid, WR))
@@ -205,7 +233,7 @@ class ConsistencyMonitor:
         # current last version of each object it writes.  WW is one edge
         # from that version's writer (the covering pair of the object's
         # write order), when the writer is a node of the graph.
-        for obj in sorted(txn.written_objects):
+        for obj in record.written_objects:
             seq = self._writers.setdefault(obj, [])
             if seq and self._in_graph(seq[-1]):
                 deps.append((seq[-1], tid, WW))
@@ -217,13 +245,17 @@ class ConsistencyMonitor:
                 if reader != tid
             )
             seq.append(tid)
-            value = txn.final_write(obj)
+            value = writes[obj]
             table = self._value_writer.setdefault(obj, {})
             if value not in table:
                 self._attributions += 1
             elif table[value] != tid:
                 self._collided.setdefault(obj, set()).add(value)
             table[value] = tid
+            if obj in self._latest_value:
+                previous = self._latest_value[obj]
+                if previous != value:
+                    self._superseded(tid, obj, previous)
             self._latest_value[obj] = value
 
         cycle = self._checker.observe(deps, rws)
@@ -240,6 +272,10 @@ class ConsistencyMonitor:
         )
         self.violations.append(violation)
         return violation
+
+    def _superseded(self, tid: str, obj: Obj, value: Value) -> None:
+        """Hook: ``tid``'s write replaced ``value`` as the newest
+        version of ``obj``."""
 
     def _known(self, tid: str) -> bool:
         return tid in self._records
@@ -270,10 +306,12 @@ class ConsistencyMonitor:
         if value in table:
             return table[value]
         if self.strict_values:
-            raise MonitorError(
-                f"{tid}: read of {obj}={value!r} matches no committed write"
-            )
+            raise MonitorError(self._unattributable(tid, obj, value))
         return self.init_tid
+
+    def _unattributable(self, tid: str, obj: Obj, value: Value) -> str:
+        """The strict-mode message for a read no write accounts for."""
+        return f"{tid}: read of {obj}={value!r} matches no committed write"
 
     # ------------------------------------------------------------------
     # Post-mortem views
@@ -338,10 +376,3 @@ def watch_engine(
             violations.append(violation)
     return monitor, violations
 
-
-def _make_transaction(tid: str, events: Sequence[Op]) -> Transaction:
-    from ..core.events import Event
-
-    return Transaction(
-        tid, tuple(Event(i, op) for i, op in enumerate(events))
-    )

@@ -46,7 +46,7 @@ in-window overwrites, so memory stays O(window + objects).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.events import Obj, Op, Value
 from .online import ConsistencyMonitor, MonitorError, Violation
@@ -91,7 +91,7 @@ class WindowedMonitor(ConsistencyMonitor):
         # Per retained commit: the (obj, value) attributions its writes
         # superseded — dropped from the value table when *it* is
         # evicted (see the module docstring on staleness horizons).
-        self._superseded_by: Dict[str, List[tuple]] = {}
+        self._superseded_by: Dict[str, List[Tuple[Obj, Value]]] = {}
 
     # ------------------------------------------------------------------
     # Observation
@@ -106,19 +106,7 @@ class WindowedMonitor(ConsistencyMonitor):
                 f"transaction {tid!r} observed twice (first occurrence "
                 f"already garbage-collected)"
             )
-        previous = {
-            op.obj: self._latest_value[op.obj]
-            for op in events
-            if op.is_write and op.obj in self._latest_value
-        }
         violation = super().observe_commit(tid, session, events)
-        superseded = [
-            (obj, value)
-            for obj, value in previous.items()
-            if self._latest_value.get(obj) != value
-        ]
-        if superseded:
-            self._superseded_by[tid] = superseded
         while len(self._commit_order) > self.window:
             self._evict(self._commit_order.popleft())
         self._prune_evicted_set()
@@ -127,6 +115,18 @@ class WindowedMonitor(ConsistencyMonitor):
     # ------------------------------------------------------------------
     # Hook overrides (attribution across the eviction frontier)
     # ------------------------------------------------------------------
+
+    def _superseded(self, tid: str, obj: Obj, value: Value) -> None:
+        self._superseded_by.setdefault(tid, []).append((obj, value))
+
+    def _unattributable(self, tid: str, obj: Obj, value: Value) -> str:
+        return (
+            f"{tid}: read of {obj}={value!r} matches no write attributed "
+            f"within the window of {self.window} commits; the write may "
+            f"have committed, since a superseded version's attribution is "
+            f"dropped once its overwriter leaves the window (use a wider "
+            f"window)"
+        )
 
     def _in_graph(self, tid: str) -> bool:
         return super()._in_graph(tid) and tid not in self._evicted
@@ -156,13 +156,13 @@ class WindowedMonitor(ConsistencyMonitor):
         self._checker.remove_node(old)
         if self._sessions.get(record.session) == old:
             del self._sessions[record.session]
-        for obj in record.txn.external_read_objects:
+        for obj in record.read_objects:
             readers = self._readers.get(obj)
             if readers is not None:
                 readers.pop(old, None)
                 if not readers:
                     del self._readers[obj]
-        for obj in record.txn.written_objects:
+        for obj in record.written_objects:
             seq = self._writers.get(obj)
             if seq and old in seq:
                 seq.remove(old)

@@ -24,6 +24,13 @@ survive the round trip bit-identically).  A commit payload carries a
 with the history.  Segments whose SI/SER/2PL payloads still list
 ``"visible"`` decode unchanged, set included.
 
+A commit payload stores each written value once, in ``"events"``: the
+decoder derives the record's ``writes`` map from them (the last write
+per object, in first-write order — how every engine builds it from its
+write buffer).  Older payloads that also carry a ``"writes"`` map decode
+to the same record; one whose map disagrees with its events is
+malformed, and the scanner reports it as damage.
+
 The framing is what makes recovery torn-tail tolerant: a crash mid
 ``write`` leaves a frame whose header promises more bytes than exist or
 whose CRC does not match, and the scanner stops cleanly at the first
@@ -38,7 +45,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..core.events import Obj, Value
+from ..core.events import Obj, OpKind, Value
 from ..io.json_format import (
     FormatError,
     op_from_wire,
@@ -47,6 +54,8 @@ from ..io.json_format import (
     value_to_wire,
 )
 from ..mvcc.engine import CommitRecord
+
+_WRITE = OpKind.WRITE
 
 SEGMENT_MAGIC = b"SIWAL001"
 """Leading bytes of every segment file (8 bytes, version included)."""
@@ -189,18 +198,17 @@ def commit_record_to_payload(record: CommitRecord) -> bytes:
         "start_ts": record.start_ts,
         "commit_ts": record.commit_ts,
         "events": [op_to_wire(op) for op in record.events],
-        "writes": {
-            str(obj): value_to_wire(value)
-            for obj, value in record.writes.items()
-        },
     }
     if record.visible_tids is not None:
         doc["visible"] = sorted(record.visible_tids)
     return _dump(doc)
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def _dump(doc: Dict[str, Any]) -> bytes:
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
+    return _ENCODER.encode(doc).encode()
 
 
 def payload_to_doc(payload: bytes) -> Dict[str, Any]:
@@ -249,24 +257,38 @@ def meta_from_doc(doc: Mapping[str, Any]) -> LogMeta:
 
 def commit_record_from_doc(doc: Mapping[str, Any]) -> CommitRecord:
     """Deserialise a commit frame document, inverse of
-    :func:`commit_record_to_payload` (bit-identical round trip)."""
+    :func:`commit_record_to_payload` (bit-identical round trip).
+
+    ``writes`` is derived from the events; a ``"writes"`` map, which
+    older payloads carry, must agree with it.
+    """
     if doc.get("kind") != "commit":
         raise FormatError(
             f"expected a commit frame, got {doc.get('kind')!r}"
         )
     visible = doc.get("visible")
     try:
+        events = tuple([op_from_wire(op) for op in doc["events"]])
+        writes: Dict[Obj, Value] = {}
+        for op in events:
+            if op.kind is _WRITE:
+                writes[op.obj] = op.value
+        stored = doc.get("writes")
+        if stored is not None and {
+            obj: value_from_wire(value) for obj, value in stored.items()
+        } != writes:
+            raise FormatError(
+                f"malformed commit frame: its writes {stored!r} disagree "
+                f"with its events"
+            )
         return CommitRecord(
             tid=doc["tid"],
             session=doc["session"],
             start_ts=int(doc["start_ts"]),
             commit_ts=int(doc["commit_ts"]),
-            events=tuple(op_from_wire(op) for op in doc["events"]),
-            writes={
-                obj: value_from_wire(value)
-                for obj, value in dict(doc["writes"]).items()
-            },
+            events=events,
+            writes=writes,
             visible_tids=None if visible is None else frozenset(visible),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed commit frame: {exc!r}")

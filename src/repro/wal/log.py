@@ -41,10 +41,12 @@ when no appender is pushing the flusher: the flusher wakes at least
 that often.  Under ``"none"``, where nobody waits, appenders never push
 it: frames are written at that interval and at ``flush()``/``close()``.
 
-Failure model.  An I/O error poisons the log: every waiting and
-subsequent ``append``/``flush``/``close`` raises a fresh
-:class:`WalPoisoned` chained to the original cause and carrying the
-first failed sequence number (the in-memory commit stands — the service
+Failure model.  An I/O error poisons the log: the flusher writes no
+further frame, so the log stays a prefix ending before the first failed
+sequence number, and every waiting and subsequent
+``append``/``flush``/``close`` raises a fresh :class:`WalPoisoned`
+chained to the original cause and carrying that sequence number (the
+in-memory commit stands — the service
 layer surfaces the error without undoing the commit, the same contract
 as a monitor failure; or degrades to read-only, per its
 ``on_wal_failure`` policy).  The ``wal.write`` and ``wal.fsync``
@@ -387,7 +389,11 @@ class WriteAheadLog:
     def _flush_loop(self) -> None:
         while True:
             with self._lock:
-                while not self._writable and not self._closed:
+                while (
+                    not self._writable
+                    and not self._closed
+                    and self._error is None
+                ):
                     self._io_cond.wait(self.flush_interval)
                 if self._closed and not self._writable:
                     return
@@ -409,6 +415,10 @@ class WriteAheadLog:
                         if remaining <= 0:
                             break
                         self._io_cond.wait(remaining)
+                if self._error is not None:
+                    # Poisoned: a frame written now would land past the
+                    # hole at the first failed sequence number.
+                    return
                 if self.fsync_policy == "always":
                     # Per-record durability: one frame per cycle, its
                     # own write + fsync.  The rest stays writable and

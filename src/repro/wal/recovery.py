@@ -31,6 +31,8 @@ from ..core.errors import StoreError
 from ..io.json_format import FormatError
 from ..mvcc.engine import BaseEngine, CommitRecord
 from .format import (
+    FRAME_HEADER,
+    MAX_FRAME_BYTES,
     SEGMENT_MAGIC,
     LogMeta,
     commit_record_from_doc,
@@ -92,9 +94,9 @@ class LogScan:
         self.bytes_scanned = 0
         self.first_ts = 0
         self.last_ts = 0
-        # Eagerly read the first segment's meta so callers (the audit
-        # monitor, the recovery engine factory) can configure themselves
-        # before streaming.
+        # Eagerly read the first segment's meta frame, and nothing past
+        # it, so callers (the audit monitor, the recovery engine
+        # factory) can configure themselves before streaming.
         for record in self._scan(stop_after_meta=True):  # pragma: no cover
             break
 
@@ -127,7 +129,7 @@ class LogScan:
             path = os.path.join(self.directory, name)
             try:
                 with open(path, "rb") as f:
-                    data = f.read()
+                    data = _read_head(f) if stop_after_meta else f.read()
             except OSError as exc:
                 self._stop(names, position, name, -1,
                            f"unreadable segment: {exc}")
@@ -210,6 +212,19 @@ class LogScan:
         # The damaged segment itself counts as dropped only when nothing
         # of it was consumed (drop_from points past it otherwise).
         self.segments_dropped = max(dropped, 0)
+
+
+def _read_head(f) -> bytes:
+    """A segment's magic and meta frame, read without the frames after
+    it (a short or implausible head is returned as read, for
+    :func:`scan_frames` to report)."""
+    head = f.read(len(SEGMENT_MAGIC) + FRAME_HEADER.size)
+    if len(head) < len(SEGMENT_MAGIC) + FRAME_HEADER.size:
+        return head
+    length, _ = FRAME_HEADER.unpack_from(head, len(SEGMENT_MAGIC))
+    if length > MAX_FRAME_BYTES:
+        return head
+    return head + f.read(length)
 
 
 def scan(directory: str) -> LogScan:

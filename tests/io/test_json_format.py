@@ -18,13 +18,17 @@ from repro.io.json_format import (
     load_history,
     load_programs,
     op_from_json,
+    op_from_wire,
     op_to_json,
+    op_to_wire,
     program_from_json,
     program_to_json,
     programs_from_json,
     programs_to_json,
     transaction_from_json,
     transaction_to_json,
+    value_from_wire,
+    value_to_wire,
 )
 
 
@@ -38,6 +42,33 @@ class TestOps:
             op_from_json(["read", "x"])
         with pytest.raises(FormatError):
             op_from_json(["update", "x", 1])
+
+
+class TestWireValues:
+    @pytest.mark.parametrize(
+        "value",
+        [1, "s", None, (1, 2), [1, (2, [3])], {"a": (1,), "b": []}, ()],
+    )
+    def test_round_trip_keeps_container_types(self, value):
+        back = value_from_wire(json.loads(json.dumps(value_to_wire(value))))
+        assert back == value and type(back) is type(value)
+
+    @pytest.mark.parametrize(
+        "data", [{}, {"t": [1], "l": [1]}, {"x": [1]}, {"t": [1], "y": 2}]
+    )
+    def test_malformed_wrapper_rejected(self, data):
+        with pytest.raises(FormatError):
+            value_from_wire(data)
+
+    def test_op_round_trip(self):
+        for op in (read("x", (1, 2)), write("acct", [-30])):
+            assert op_to_wire(op)[0] == op.kind.value
+            assert op_from_wire(op_to_wire(op)) == op
+
+    def test_bad_op_kind_rejected(self):
+        for kind in ("update", ["read"], None):
+            with pytest.raises(FormatError):
+                op_from_wire([kind, "x", 1])
 
 
 class TestTransactions:

@@ -173,6 +173,33 @@ class TestGarbageCollection:
         with pytest.raises(MonitorError):
             monitor.observe_commit("r", "s-r", [read("x", 1)])
 
+    def test_unattributable_read_names_the_window(self):
+        """On a valid SI run whose snapshots outlive a window of 3, a
+        read of a committed but superseded version loses its
+        attribution with its overwriter; the error says so."""
+        wl = random_workload(
+            1, sessions=4, transactions_per_session=6, objects=3
+        )
+        engine = SIEngine(wl.initial)
+        Scheduler(engine, wl.sessions).run_random(1)
+        assert any(
+            record.writes.get("x2") == 30 for record in engine.committed
+        )
+        _, violations = watch_engine(engine, "SI")
+        assert violations == []
+        monitor = WindowedMonitor(
+            3, "SI", dict(engine.initial), init_tid=engine.init_tid
+        )
+        with pytest.raises(MonitorError) as info:
+            for record in sorted(engine.committed, key=lambda r: r.commit_ts):
+                monitor.observe_commit(
+                    record.tid, record.session, list(record.events)
+                )
+        message = str(info.value)
+        assert message.startswith("t23: read of x2=30 ")
+        assert "window of 3 commits" in message
+        assert "may have committed" in message
+
     def test_superseded_version_attributable_while_overwriter_retained(
         self,
     ):

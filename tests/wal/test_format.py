@@ -157,6 +157,27 @@ class TestCommitPayloads:
         with pytest.raises(FormatError):
             meta_from_doc(commit_doc)
 
+    def test_payload_bytes(self):
+        assert commit_record_to_payload(make_record()) == (
+            b'{"commit_ts":1,"events":[["read","x",0],["write","x",1]],'
+            b'"kind":"commit","session":"client-1","start_ts":0,'
+            b'"tid":"t1","visible":["t_init"]}'
+        )
+
+    def test_payload_stores_written_values_once(self):
+        doc = payload_to_doc(commit_record_to_payload(make_record()))
+        assert "writes" not in doc
+        assert commit_record_from_doc(doc).writes == {"x": 1}
+
+    def test_stored_writes_must_agree_with_events(self):
+        doc = payload_to_doc(commit_record_to_payload(make_record()))
+        doc["writes"] = {"x": 1}
+        assert commit_record_from_doc(doc) == make_record()
+        for bad in ({"x": 2}, {}, {"x": 1, "y": 1}, {"x": {"t": [1]}}):
+            doc["writes"] = bad
+            with pytest.raises(FormatError, match="disagree"):
+                commit_record_from_doc(doc)
+
     def test_malformed_commit_doc_rejected(self):
         doc = payload_to_doc(commit_record_to_payload(make_record()))
         del doc["events"]

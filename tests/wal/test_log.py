@@ -13,6 +13,7 @@ from repro.wal import (
     FSYNC_POLICIES,
     WalClosed,
     WalError,
+    WalPoisoned,
     WriteAheadLog,
     recover,
     scan,
@@ -279,3 +280,54 @@ class TestValidation:
         # The gap at #2 can never be filled: the log stays poisoned.
         with pytest.raises(WalError):
             log.append(make_record(3))
+        with pytest.raises(WalPoisoned):
+            log.close()
+
+
+class TestPoisoning:
+    def test_frame_deposited_during_failing_batch_is_never_written(
+        self, tmp_path, monkeypatch
+    ):
+        # #2 is deposited while the batch holding #1 is failing.  The
+        # poisoned log must not write it past the hole at #1, and its
+        # durable point must not pass #1 - 1.
+        log = make_log(tmp_path, fsync_policy="group", group_window=0)
+        in_flight = threading.Event()
+        release = threading.Event()
+        write_batch = log._write_batch
+
+        def fail_first_batch(batch):
+            if batch[0][0] == 1:
+                in_flight.set()
+                release.wait(5)
+                raise OSError("dead disk")
+            return write_batch(batch)
+
+        monkeypatch.setattr(log, "_write_batch", fail_first_batch)
+        errors = []
+
+        def commit(ts):
+            try:
+                log.append(make_record(ts))
+            except WalError as exc:
+                errors.append(exc)
+
+        first = threading.Thread(target=commit, args=(1,))
+        first.start()
+        assert in_flight.wait(5)
+        second = threading.Thread(target=commit, args=(2,))
+        second.start()
+        deadline = time.monotonic() + 5
+        while log.stats.appends < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert log.stats.appends == 2
+        release.set()
+        first.join(5)
+        second.join(5)
+        assert not first.is_alive() and not second.is_alive()
+        with pytest.raises(WalPoisoned) as info:
+            log.close()
+        assert info.value.first_failed_seq == 1
+        assert sorted(e.first_failed_seq for e in errors) == [1, 1]
+        assert log.durable_ts == 0
+        assert list(scan(log.directory)) == []

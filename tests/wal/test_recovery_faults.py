@@ -15,7 +15,7 @@ import pytest
 from repro.mvcc import SIEngine
 from repro.mvcc.runtime import ReadOp, WriteOp
 from repro.service import TransactionService
-from repro.wal import WriteAheadLog, audit_log, recover, scan
+from repro.wal import WriteAheadLog, audit_log, recover, recovery, scan
 from repro.wal.format import SEGMENT_MAGIC
 
 COMMITS = 40
@@ -176,6 +176,36 @@ class TestDamageReporting:
         assert result.segments_scanned == 2
         assert result.segments_dropped == len(segments) - 2
         assert result.truncated
+
+    def test_meta_pass_decodes_only_the_meta_frame(
+        self, logged_run, monkeypatch
+    ):
+        _, directory, _ = logged_run
+        decoded = []
+        scan_frames = recovery.scan_frames
+
+        def counting(data, offset=0):
+            payloads, damage, damage_offset = scan_frames(data, offset)
+            decoded.append(len(payloads))
+            return payloads, damage, damage_offset
+
+        monkeypatch.setattr(recovery, "scan_frames", counting)
+        result = scan(directory)
+        assert result.meta is not None and result.meta.engine == "SI"
+        assert decoded == [1]
+        assert len(list(result)) == COMMITS
+
+    def test_damage_past_the_meta_frame_found_by_iteration(
+        self, logged_run
+    ):
+        _, directory, segments = logged_run
+        with open(segments[0], "r+b") as f:
+            f.truncate(os.path.getsize(segments[0]) - 5)
+        result = scan(directory)
+        assert result.meta is not None and not result.truncated
+        records = list(result)
+        assert result.truncated and len(records) < COMMITS
+        assert result.segments_dropped == len(segments) - 1
 
     def test_rescan_is_idempotent(self, logged_run):
         _, directory, segments = logged_run

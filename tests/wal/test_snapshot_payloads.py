@@ -1,10 +1,12 @@
-"""Commit payloads carry a snapshot set only for PSI.
+"""Commit payloads carry a snapshot set only for PSI, and no writes map.
 
 SI, SER and 2PL snapshots are commit-order prefixes, stated by the
 record's ``start_ts``; their payloads therefore have no ``"visible"``
 key and stay the same size however long the history grows.  PSI keeps
-its explicit set.  Segments written when every payload listed
-``"visible"`` still recover and audit, with the same reconstruction.
+its explicit set.  No payload carries ``"writes"``: the decoder derives
+it from ``"events"``.  Segments written when every payload listed
+``"visible"`` and ``"writes"`` still recover and audit, with the same
+reconstruction.
 """
 
 import json
@@ -50,6 +52,29 @@ def test_prefix_engines_write_no_visible_key(factory):
             commit_record_to_payload(record)
         )
         assert _round_trip(record) == record
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        SIEngine,
+        SerializableEngine,
+        TwoPhaseLockingEngine,
+        lambda initial: PSIEngine(initial, auto_deliver=True),
+    ],
+    ids=["SI", "SER", "2PL", "PSI"],
+)
+def test_payloads_carry_no_writes_key_and_round_trip(factory):
+    wl = random_workload(5, sessions=4, transactions_per_session=8, objects=3)
+    engine = factory(wl.initial)
+    Scheduler(engine, wl.sessions).run_random(5)
+    assert any(record.writes for record in engine.committed)
+    for record in engine.committed:
+        doc = payload_to_doc(commit_record_to_payload(record))
+        assert "writes" not in doc
+        back = commit_record_from_doc(doc)
+        assert back == record
+        assert list(back.writes.items()) == list(record.writes.items())
 
 
 def _blind_write(engine, session="s"):
@@ -124,9 +149,9 @@ def _write_segment(directory, commits):
     return str(directory)
 
 
-def _without_visible(payload):
+def _without(payload, key):
     doc = json.loads(payload)
-    del doc["visible"]
+    del doc[key]
     return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
 
 
@@ -141,7 +166,7 @@ def _vis_and_co(engine):
 def test_frozen_segment_with_visible_recovers_and_audits(tmp_path):
     old = _write_segment(tmp_path / "old", FROZEN_COMMITS)
     new = _write_segment(
-        tmp_path / "new", [_without_visible(p) for p in FROZEN_COMMITS]
+        tmp_path / "new", [_without(p, "visible") for p in FROZEN_COMMITS]
     )
 
     recovered = recover(old)
@@ -164,7 +189,7 @@ def test_si_log_recovered_into_psi_serves_new_sessions(tmp_path):
     # an SI log must treat each record's snapshot as its CO prefix when
     # it backfills a new replica.
     new = _write_segment(
-        tmp_path / "new", [_without_visible(p) for p in FROZEN_COMMITS]
+        tmp_path / "new", [_without(p, "visible") for p in FROZEN_COMMITS]
     )
     engine = recover(new, engine_key="PSI").engine
     assert isinstance(engine, PSIEngine)
@@ -174,3 +199,35 @@ def test_si_log_recovered_into_psi_serves_new_sessions(tmp_path):
     assert engine.commit(ctx).visible_tids == frozenset(
         {"t1", "t2", "t3", "t4"}
     )
+
+
+def test_frozen_segment_with_writes_recovers_and_audits_identically(
+    tmp_path,
+):
+    old = _write_segment(tmp_path / "old", FROZEN_COMMITS)
+    new = _write_segment(
+        tmp_path / "new", [_without(p, "writes") for p in FROZEN_COMMITS]
+    )
+    recovered, rebuilt = recover(old), recover(new)
+    assert recovered.records_recovered == rebuilt.records_recovered == 4
+    assert recovered.engine.committed == rebuilt.engine.committed
+    assert [dict(r.writes) for r in rebuilt.engine.committed] == [
+        {"x": 1}, {"y": 1}, {"x": 2}, {},
+    ]
+    for window in (None, 2):
+        audits = [audit_log(d, window=window) for d in (old, new)]
+        assert [
+            (a.consistent, a.commits_observed, a.violations) for a in audits
+        ] == [(True, 4, [])] * 2
+
+
+def test_writes_disagreeing_with_events_is_damage(tmp_path):
+    bad = FROZEN_COMMITS[2].replace(b'"writes":{"x":2}', b'"writes":{"x":9}')
+    assert bad != FROZEN_COMMITS[2]
+    directory = _write_segment(
+        tmp_path / "bad", FROZEN_COMMITS[:2] + (bad,) + FROZEN_COMMITS[3:]
+    )
+    result = recover(directory)
+    assert result.records_recovered == 2 and result.truncated
+    assert "disagree with its events" in str(result.damage[0])
+    assert audit_log(directory).commits_observed == 2
